@@ -152,12 +152,6 @@ class Field:
             return a ** e
         return pow(a, e, self.p)
 
-    def scalar_str(self, a: Scalar) -> str:
-        return str(a)
-
-    def parse_scalar(self, text: str) -> Scalar:
-        return self.coerce(Fraction(text))
-
 
 def _require_same_field(a: Field, b: Field) -> None:
     if a != b:

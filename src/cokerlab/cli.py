@@ -3,7 +3,8 @@
 Identical configurations (command, field, ranges, seed) produce byte
 identical JSON: reports carry no timestamps, factor lists are sorted
 canonically, and keys are emitted sorted.  Exit codes: 0 all checks pass,
-1 a mathematical check failed, 2 usage or configuration error.
+1 a mathematical check failed, 2 usage or configuration error, or an
+unwritable --output.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from .arith import Field, Monomial, MultiPoly, tau
 from .cohomology import (
     column_bidegree,
     component_dd,
-    factor_report_for,
     prime_witnesses,
     torsion_witness,
 )
-from .factor import accumulate_distinct, missing_prime_power_indices
+from .factor import accumulate_distinct, factor_tau, missing_prime_power_indices
 from .frobenius import CASE_AT_N_PLUS_1, component_t, witness_growth
 from .matrices import build_a, build_b, det
 
@@ -229,8 +229,8 @@ def run_cohomology(config: RunConfig) -> tuple:
             column_bidegree(a, j).as_pair() == (2, j + 1) for j in range(a.cols))
         witness = torsion_witness(d, field)
         fiber_zero = b.substitute({"s": 0, "t": 0}).is_zero()
-        report = factor_report_for(d, field, seed=config.seed)
-        witnesses = prime_witnesses(d, field, seed=config.seed)
+        report = factor_tau(d - 1, field, seed=config.seed)
+        witnesses = prime_witnesses(d, report)
         checks_ok = (collapse_ok and bidegrees_ok and fiber_zero
                      and not witness.nonmembership.is_solution
                      and all(w.avoids_s for w in witnesses))
@@ -278,7 +278,8 @@ def run_frobenius(config: RunConfig) -> tuple:
                                    growth.new_distinct, growth.cumulative_distinct):
         component = component_t(n, n + 1, field)
         relations = component.presentation.relations
-        determinant = det(relations)
+        # witness_growth factored exactly det(relations).
+        determinant = report.input
         collapse_ok = relations == build_b(n - 2, field)
         det_is_tau = determinant == tau(n - 2, field)
         ok = collapse_ok and det_is_tau
@@ -425,7 +426,12 @@ def main(argv=None) -> int:
         for warning in payload.get("warnings", ()):
             print(f"warning: {warning}", file=sys.stderr)
     if config.output is not None:
-        config.output.write_text(rendered, encoding="utf-8")
+        try:
+            config.output.write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write report to {config.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(rendered)
     return code

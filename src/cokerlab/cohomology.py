@@ -16,14 +16,13 @@ from functools import lru_cache
 from typing import Optional
 
 from .arith import Field, Monomial, MultiPoly, exact_divide, tau
-from .factor import FactorReport, factor_tau
+from .factor import FactorReport
 from .matrices import (
     MembershipCertificate,
     PolyMatrix,
     adjugate_column,
     build_a,
     build_b,
-    solve_square,
 )
 
 _R0_VARIABLES = {"x", "y", "s", "t"}
@@ -291,7 +290,11 @@ class TorsionWitness:
 
 
 def torsion_witness(d: int, field: Field) -> TorsionWitness:
-    """Build and re-verify the torsion certificate for the degree -d piece."""
+    """Build and re-verify the torsion certificate for the degree -d piece.
+
+    The solution w = adj(B) e_1 is checked exactly against B w = tau e_1, and
+    the non-membership certificate for e_1 is read off the same column.
+    """
     if d < 2:
         raise ValueError("torsion_witness requires d >= 2")
     b = build_b(d - 1, field)
@@ -301,12 +304,15 @@ def torsion_witness(d: int, field: Field) -> TorsionWitness:
     expected = [annihilator] + [MultiPoly.zero(field)] * (d - 2)
     if achieved != expected:
         raise ArithmeticError("torsion solution verification failed")
-    e1 = [MultiPoly.one(field)] + [MultiPoly.zero(field)] * (d - 2)
-    nonmembership = solve_square(b, e1)
-    if nonmembership.is_solution:
+    # B adj(B) e_1 = det(B) e_1 for every square B, so the check proves
+    # det(B) = tau != 0.  B with column i replaced by e_1 has determinant
+    # adj(B)[i][0] = solution[i]: these are the Cramer numerators of e_1.
+    failed = next((i + 1 for i, numerator in enumerate(solution)
+                   if exact_divide(numerator, annihilator) is None), None)
+    if failed is None:
         raise ArithmeticError("e_1 unexpectedly lies in the image")
-    return TorsionWitness(d=d, annihilator=annihilator,
-                          solution=tuple(solution), nonmembership=nonmembership)
+    return TorsionWitness(d=d, annihilator=annihilator, solution=tuple(solution),
+                          nonmembership=MembershipCertificate(failed_column=failed))
 
 
 @dataclass(frozen=True)
@@ -319,15 +325,18 @@ class PrimeWitness:
     avoids_s: bool
 
 
-def prime_witnesses(d: int, field: Field, seed: Optional[int] = None) -> list:
-    """Irreducible factors of det(B_(d-1)) = tau_(d-1), as prime witnesses."""
+def prime_witnesses(d: int, report: FactorReport) -> list:
+    """Irreducible factors of det(B_(d-1)) = tau_(d-1), as prime witnesses,
+    read off the factor report of tau_(d-1)."""
     if d < 2:
         raise ValueError("prime_witnesses requires d >= 2")
-    t_poly = tau(d - 1, field)
+    t_poly = report.input
+    field = t_poly.field
+    if t_poly != tau(d - 1, field):
+        raise ValueError("the report does not factor tau_(d-1)")
     s_poly = MultiPoly.variable(field, "s")
     if exact_divide(t_poly, s_poly) is not None:
         raise ArithmeticError("s unexpectedly divides the determinant")
-    report = factor_tau(d - 1, field, seed=seed)
     witnesses = []
     for poly, _ in report.factors:
         if exact_divide(t_poly, poly) is None:
@@ -335,11 +344,6 @@ def prime_witnesses(d: int, field: Field, seed: Optional[int] = None) -> list:
         witnesses.append(PrimeWitness(generator=poly, source_d=d,
                                       avoids_s=(poly != s_poly)))
     return witnesses
-
-
-def factor_report_for(d: int, field: Field, seed: Optional[int] = None) -> FactorReport:
-    """Factor report of the annihilator tau_(d-1) attached to degree -d."""
-    return factor_tau(d - 1, field, seed=seed)
 
 
 # ----------------------------------------------------------------------------

@@ -131,12 +131,6 @@ class GrowthReport:
                 "records": records,
                 "final_distinct": self.final_distinct}
 
-    def to_csv_rows(self) -> list:
-        rows = [("i", "new_factors", "cumulative")]
-        for idx, new, cum in zip(self.index_set, self.new_distinct, self.cumulative_distinct):
-            rows.append((idx, new, cum))
-        return rows
-
 
 def accumulate_reports(indices: Sequence[int], reports: Sequence[FactorReport]) -> GrowthReport:
     """Deduplicate factors across reports and build the growth columns."""

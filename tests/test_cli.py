@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cokerlab
+from cokerlab import factor, matrices
+from cokerlab.arith import Field, tau
 from cokerlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -15,6 +19,8 @@ from cokerlab.cli import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# Child processes import the same cokerlab package as this test process.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cokerlab.__file__).parents[1])}
 
 
 class TestIndexSetParsing:
@@ -57,6 +63,14 @@ class TestExitCodes:
     def test_cohomology_rejects_bad_range(self, capsys):
         assert main(["cohomology", "--d-min", "1", "--d-max", "3"]) == EXIT_USAGE
         assert main(["cohomology", "--d-min", "5", "--d-max", "3"]) == EXIT_USAGE
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        assert main(["verify-lemma1", "--max-i", "2", "--output", str(target)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report to {target}: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -210,18 +224,45 @@ class TestReproducibility:
         assert out.read_bytes() == (GOLDEN_DIR / "frobenius_n8_q.json").read_bytes()
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestComputedOnce:
+    def test_one_factorization_per_d_and_one_determinant_per_n(self, monkeypatch, capsys):
+        # factor_tau factors through the factor module's global, and det,
+        # adjugate_column and solve_square all eliminate through the matrices
+        # module's global, so these count every call whichever binding starts it.
+        factorizations = _count_calls(monkeypatch, factor, "factor_homogeneous_st")
+        eliminations = _count_calls(monkeypatch, matrices, "_det_bareiss")
+        assert main(["cohomology", "--d-min", "2", "--d-max", "6"]) == EXIT_OK
+        q = Field.rationals()
+        assert [args[0] for args in factorizations] == [tau(d - 1, q) for d in range(2, 7)]
+        eliminations.clear()
+        assert main(["frobenius", "--n-set", "6,8"]) == EXIT_OK
+        assert len(eliminations) == 2
+
+
 class TestConsoleScript:
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "cokerlab.cli", "verify-lemma1", "--max-i", "2",
              "--format", "text"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=CHILD_ENV)
         assert result.returncode == EXIT_OK
         assert "RESULT: PASS" in result.stdout
 
     def test_version_flag(self):
         result = subprocess.run(
             [sys.executable, "-m", "cokerlab.cli", "--version"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV)
         assert result.returncode == 0
         assert "cokerlab" in result.stdout

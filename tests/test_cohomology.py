@@ -18,10 +18,13 @@ from cokerlab.cohomology import (
     tau_in_irrelevant_ideal,
     torsion_witness,
 )
-from cokerlab.matrices import adjugate, build_a, build_b
+from cokerlab.factor import factor_tau
+from cokerlab.matrices import adjugate, build_a, build_b, solve_square
 
 Q = Field.rationals()
+F2 = Field.prime(2)
 F3 = Field.prime(3)
+F7 = Field.prime(7)
 
 
 def qp(text):
@@ -169,15 +172,20 @@ class TestTorsionWitness:
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_certificates_verify(self, d):
-        w = torsion_witness(d, Q)
-        b = build_b(d - 1, Q)
-        achieved = b.mul_vector(list(w.solution))
-        expected = [tau(d - 1, Q)] + [MultiPoly.zero(Q)] * (d - 2)
-        assert achieved == expected
-        assert w.nonmembership.failed_column is not None
-        # The matrix vanishes at the origin, so the fiber there has full
-        # dimension d-1.
-        assert b.substitute({"s": 0, "t": 0}).is_zero()
+        for field in (Q, F2, F7):
+            w = torsion_witness(d, field)
+            b = build_b(d - 1, field)
+            achieved = b.mul_vector(list(w.solution))
+            expected = [tau(d - 1, field)] + [MultiPoly.zero(field)] * (d - 2)
+            assert achieved == expected
+            # The certificate read off the adjugate column names the same
+            # column as an independent Cramer solve.
+            e1 = [MultiPoly.one(field)] + [MultiPoly.zero(field)] * (d - 2)
+            assert w.nonmembership.failed_column == solve_square(b, e1).failed_column
+            assert w.nonmembership.failed_column is not None
+            # The matrix vanishes at the origin, so the fiber there has full
+            # dimension d-1.
+            assert b.substitute({"s": 0, "t": 0}).is_zero()
 
     def test_prime_field(self):
         w = torsion_witness(4, F3)
@@ -190,16 +198,20 @@ class TestTorsionWitness:
 
 class TestPrimeWitnesses:
     def test_d2(self):
-        witnesses = prime_witnesses(2, Q)
+        witnesses = prime_witnesses(2, factor_tau(1, Q))
         assert [str(w.generator) for w in witnesses] == ["t+s"]
 
     def test_d4(self):
-        witnesses = prime_witnesses(4, Q)
+        witnesses = prime_witnesses(4, factor_tau(3, Q))
         assert [str(w.generator) for w in witnesses] == ["t+s", "t^2+s^2"]
+
+    def test_rejects_report_of_another_index(self):
+        with pytest.raises(ValueError):
+            prime_witnesses(4, factor_tau(2, Q))
 
     def test_avoids_s_and_divides(self):
         for d in range(2, 11):
-            for w in prime_witnesses(d, Q):
+            for w in prime_witnesses(d, factor_tau(d - 1, Q)):
                 assert w.avoids_s
                 assert w.source_d == d
                 assert w.generator.is_homogeneous()
@@ -207,7 +219,7 @@ class TestPrimeWitnesses:
     def test_cross_degree_distinctness(self):
         seen = {}
         for d in range(2, 11):
-            for w in prime_witnesses(d, Q):
+            for w in prime_witnesses(d, factor_tau(d - 1, Q)):
                 seen.setdefault(w.generator, d)
         generators = list(seen)
         for i in range(len(generators)):

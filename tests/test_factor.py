@@ -299,7 +299,6 @@ class TestAccumulate:
     def test_report_consistency(self):
         report = accumulate_distinct([2, 5, 11], Q)
         assert len(report.per_index) == 3
-        assert report.to_csv_rows()[0] == ("i", "new_factors", "cumulative")
         payload = report.to_json_dict()
         assert payload["final_distinct"] == report.final_distinct
         assert [r["index"] for r in payload["records"]] == [2, 5, 11]
