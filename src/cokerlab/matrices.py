@@ -36,12 +36,6 @@ class PolyMatrix:
         self.cols = width
         self._entries = tuple(rows)
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> PolyMatrix:
-        one = MultiPoly.one(field)
-        zero = MultiPoly.zero(field)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key) -> MultiPoly:
         i, j = key
         return self._entries[i][j]
@@ -67,25 +61,6 @@ class PolyMatrix:
     def __hash__(self) -> int:
         return hash(self._entries)
 
-    def __matmul__(self, other: PolyMatrix) -> PolyMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        zero = MultiPoly.zero(self.field)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self._entries[i][k]
-                    b = other._entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
     def mul_vector(self, v: Sequence[MultiPoly]) -> list:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
@@ -105,8 +80,8 @@ class PolyMatrix:
         return PolyMatrix([[e.substitute(values) for e in row] for row in self._entries])
 
     def without_rows(self, drop) -> PolyMatrix:
-        keep = [row for i, row in enumerate(self._entries) if i not in set(drop)]
-        return PolyMatrix(keep)
+        dropped = set(drop)
+        return PolyMatrix([row for i, row in enumerate(self._entries) if i not in dropped])
 
     def without_columns(self, drop) -> PolyMatrix:
         dropped = set(drop)
@@ -286,36 +261,8 @@ def _det_cofactor(m: PolyMatrix) -> MultiPoly:
     return minor_det(0, tuple(range(n)))
 
 
-def adjugate(m: PolyMatrix) -> PolyMatrix:
-    """Transposed cofactor matrix; satisfies m @ adjugate(m) = det(m) * I,
-    which is re-verified exactly before returning."""
-    if not m.is_square:
-        raise ValueError("adjugate of a non-square matrix")
-    n = m.rows
-    field = m.field
-    if n == 1:
-        adj = PolyMatrix([[MultiPoly.one(field)]])
-    else:
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                # adj[i][j] is the (j, i) cofactor.
-                minor = m.without_rows([j]).without_columns([i])
-                c = _det_bareiss(minor)
-                row.append(c if (i + j) % 2 == 0 else -c)
-            rows.append(row)
-        adj = PolyMatrix(rows)
-    d = _det_bareiss(m)
-    expected = PolyMatrix([[d if i == j else MultiPoly.zero(field) for j in range(n)]
-                           for i in range(n)])
-    if (m @ adj) != expected:
-        raise ArithmeticError("adjugate verification failed")
-    return adj
-
-
 def adjugate_column(m: PolyMatrix, j: int) -> list:
-    """Column j (0-based) of the adjugate, i.e. adjugate(m) applied to e_{j+1},
+    """Column j (0-based) of the adjugate, i.e. adj(m) applied to e_{j+1},
     computed from the row-j cofactors alone."""
     if not m.is_square:
         raise ValueError("adjugate of a non-square matrix")
@@ -358,7 +305,7 @@ class MembershipCertificate:
 def solve_square(b: PolyMatrix, v: Sequence[MultiPoly]) -> MembershipCertificate:
     """Decide whether v lies in the column span of an injective square B.
 
-    The fraction-field solution is adjugate(B) v / det(B), computed per
+    The fraction-field solution is adj(B) v / det(B), computed per
     component as a Cramer determinant; v is in the image exactly when every
     component divides out, and any returned solution is re-verified against
     B w = v.

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import cokerlab
-from cokerlab import factor, matrices
-from cokerlab.arith import Field, tau
+from cokerlab import cohomology, factor, matrices
+from cokerlab.arith import Field, MultiPoly, tau
 from cokerlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -17,6 +17,7 @@ from cokerlab.cli import (
     main,
     parse_index_set,
 )
+from cokerlab.matrices import PolyMatrix
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # Child processes import the same cokerlab package as this test process.
@@ -246,9 +247,32 @@ class TestComputedOnce:
         assert main(["cohomology", "--d-min", "2", "--d-max", "6"]) == EXIT_OK
         q = Field.rationals()
         assert [args[0] for args in factorizations] == [tau(d - 1, q) for d in range(2, 7)]
+        # The torsion certificate is written down, not eliminated for.
+        assert eliminations == []
         eliminations.clear()
         assert main(["frobenius", "--n-set", "6,8"]) == EXIT_OK
         assert len(eliminations) == 2
+
+
+class TestCertificateFailure:
+    def test_wrong_b_exits_1_without_traceback(self, monkeypatch, capsys):
+        build_b = cohomology.build_b
+
+        def corrupted(i, field):
+            b = build_b(i, field)
+            if i < 3:
+                return b
+            entries = [list(b.row(r)) for r in range(i)]
+            entries[0][0] = entries[0][0] + MultiPoly.one(field)
+            return PolyMatrix(entries)
+
+        monkeypatch.setattr(cohomology, "build_b", corrupted)
+        assert main(["cohomology", "--d-min", "2", "--d-max", "5"]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: certificate check failed:")
+        assert "Traceback" not in captured.err
 
 
 class TestConsoleScript:

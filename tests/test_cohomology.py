@@ -1,5 +1,6 @@
 import pytest
 
+from cokerlab import cohomology
 from cokerlab.arith import Field, Monomial, MultiPoly, dehomogenize, gcd_univariate, parse_poly, tau
 from cokerlab.cohomology import (
     Bidegree,
@@ -19,7 +20,7 @@ from cokerlab.cohomology import (
     torsion_witness,
 )
 from cokerlab.factor import factor_tau
-from cokerlab.matrices import adjugate, build_a, build_b, solve_square
+from cokerlab.matrices import PolyMatrix, adjugate_column, build_a, build_b, solve_square
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -168,7 +169,7 @@ class TestTorsionWitness:
     def test_d3_solution_is_adjugate_column(self):
         w = torsion_witness(3, Q)
         assert list(w.solution) == [qp("-t-s"), qp("-s")]
-        assert list(w.solution) == adjugate(build_b(2, Q)).column(0)
+        assert list(w.solution) == adjugate_column(build_b(2, Q), 0)
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_certificates_verify(self, d):
@@ -178,6 +179,8 @@ class TestTorsionWitness:
             achieved = b.mul_vector(list(w.solution))
             expected = [tau(d - 1, field)] + [MultiPoly.zero(field)] * (d - 2)
             assert achieved == expected
+            # The closed-form solution is the adjugate column from cofactors.
+            assert list(w.solution) == adjugate_column(b, 0)
             # The certificate read off the adjugate column names the same
             # column as an independent Cramer solve.
             e1 = [MultiPoly.one(field)] + [MultiPoly.zero(field)] * (d - 2)
@@ -186,6 +189,21 @@ class TestTorsionWitness:
             # The matrix vanishes at the origin, so the fiber there has full
             # dimension d-1.
             assert b.substitute({"s": 0, "t": 0}).is_zero()
+
+    @pytest.mark.parametrize("row, col", [(2, 0), (1, 0)], ids=["below_band", "subdiagonal"])
+    def test_rejects_matrix_off_the_band(self, monkeypatch, row, col):
+        # Adding w_2 at (row, col) and -w_col at (row, 2) keeps B' w = tau e_1,
+        # so only the check of B's shape below the diagonal can reject B'.
+        b = build_b(3, Q)
+        w = adjugate_column(b, 0)
+        entries = [list(b.row(r)) for r in range(3)]
+        entries[row][col] = entries[row][col] + w[2]
+        entries[row][2] = entries[row][2] - w[col]
+        patched = PolyMatrix(entries)
+        assert patched.mul_vector(w) == b.mul_vector(w)
+        monkeypatch.setattr(cohomology, "build_b", lambda i, field: patched)
+        with pytest.raises(ArithmeticError, match="subdiagonal"):
+            torsion_witness(4, Q)
 
     def test_prime_field(self):
         w = torsion_witness(4, F3)
