@@ -13,6 +13,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +30,7 @@ from .cohomology import (
 )
 from .factor import accumulate_distinct, factor_tau, missing_prime_power_indices
 from .frobenius import CASE_AT_N_PLUS_1, witness_growth
-from .matrices import build_a, build_b, det
+from .matrices import build_a, build_b, certify_det_b, continuant
 
 MAX_INDEX = 200
 MAX_D = 100
@@ -181,10 +183,15 @@ def run_verify(config: RunConfig) -> tuple:
     tau1 = tau(1, field)  # -t-s, the recurrence multiplier
     st = MultiPoly.term(field, 1, Monomial.from_dict({"s": 1, "t": 1}))
     for i in range(1, config.max_i + 1):
-        d = det(build_b(i, field))
+        b = build_b(i, field)
+        d = continuant(b)
         dets.append(d)
         t_i = tau(i, field)
         identity_ok = d == t_i
+        if identity_ok:
+            # The continuant runs the recurrence checked below, so the
+            # identity is proven independently of it.
+            certify_det_b(b)
         recurrence_ok = None
         if i >= 3:
             recurrence_ok = d == tau1 * dets[i - 2] - st * dets[i - 3]
@@ -278,13 +285,16 @@ def run_frobenius(config: RunConfig) -> tuple:
                                    growth.new_distinct, growth.cumulative_distinct):
         # witness_growth factored exactly det of the collapsed relations.
         determinant = report.input
+        b = build_b(n - 2, field)
         det_is_tau = determinant == tau(n - 2, field)
+        if det_is_tau:
+            certify_det_b(b)
         all_pass = all_pass and det_is_tau
         records.append({
             "n": n,
             "d": n + 1,
             "case": CASE_AT_N_PLUS_1,
-            "matrix": build_b(n - 2, field).to_strings(),
+            "matrix": b.to_strings(),
             "det": str(determinant),
             # component_t raises unless the relations at d = n + 1 equal B_(n-2).
             "collapse_matches_b": True,
@@ -402,6 +412,33 @@ def render_text(payload: dict) -> str:
 _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
+def _write_report(path: Path, text: str) -> None:
+    """Write text to path atomically: the path holds its old content or the
+    whole report, never part of it, and no temporary file is left behind.
+
+    A path that is not a regular file, such as /dev/stdout, is written in
+    place, since replacing it would replace the device or pipe itself.
+    """
+    try:
+        replaceable = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        replaceable = True
+    if not replaceable:
+        path.write_text(text, encoding="utf-8")
+        return
+    # Replace the file a symbolic link names, not the link.
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def run(config: RunConfig) -> tuple:
     """Execute a validated configuration; returns (payload, rendered, exit code)."""
     payload, ok = _RUNNERS[config.command](config)
@@ -427,7 +464,7 @@ def main(argv=None) -> int:
             print(f"warning: {warning}", file=sys.stderr)
     if config.output is not None:
         try:
-            config.output.write_text(rendered, encoding="utf-8")
+            _write_report(config.output, rendered)
         except OSError as exc:
             print(f"error: cannot write report to {config.output}: {exc.strerror or exc}",
                   file=sys.stderr)

@@ -22,6 +22,7 @@ from .matrices import (
     PolyMatrix,
     build_a,
     build_b,
+    certify_det_b,
 )
 
 _R0_VARIABLES = {"x", "y", "s", "t"}
@@ -291,35 +292,15 @@ class TorsionWitness:
 def torsion_witness(d: int, field: Field) -> TorsionWitness:
     """Build and re-verify the torsion certificate for the degree -d piece.
 
-    With n = d - 1 and tau_0 = 1, the solution w = adj(B_n) e_1 is written
-    down from the closed form for tridiagonal inverses (R. A. Usmani, Linear
-    Algebra Appl. 212/213, 1994): w_i = (-s)^i * tau_(n-1-i).  It is checked
-    exactly against B w = tau_n e_1; together with B's zeros below its
-    subdiagonal of s, that check proves det B = tau_n by Cramer's rule, so the
+    With n = d - 1, certify_det_b proves det(B_n) = tau_n and returns
+    w = adj(B_n) e_1, whose entries are the Cramer numerators of e_1, so the
     non-membership certificate for e_1 is read off w without an elimination.
     """
     if d < 2:
         raise ValueError("torsion_witness requires d >= 2")
     n = d - 1
-    b = build_b(n, field)
     annihilator = tau(n, field)
-    s = MultiPoly.variable(field, "s")
-    minus_s = -s
-    solution = [minus_s ** i * tau(n - 1 - i, field) for i in range(n - 1)]
-    solution.append(minus_s ** (n - 1))
-    expected = [annihilator] + [MultiPoly.zero(field)] * (n - 1)
-    if b.mul_vector(solution) != expected:
-        raise ArithmeticError("torsion solution verification failed")
-    if (any(not b[r, c].is_zero() for r in range(n) for c in range(r - 1))
-            or any(b[r, r - 1] != s for r in range(1, n))):
-        raise ArithmeticError("B is not zero below a subdiagonal of s")
-    # Deleting the first row and the last column of such a B leaves a
-    # triangular matrix with s on its diagonal, so
-    # adj(B)[n-1][0] = (-s)^(n-1) = solution[n-1] != 0.
-    # Since adj(B) B = det(B) I, applying adj(B) to B w = tau e_1 gives
-    # det(B) w = tau adj(B) e_1, whose last component proves det B = tau != 0;
-    # hence w = adj(B) e_1, and B with column i replaced by e_1 has
-    # determinant solution[i]: these are the Cramer numerators of e_1.
+    solution = certify_det_b(build_b(n, field))
     failed = next((i + 1 for i, numerator in enumerate(solution)
                    if exact_divide(numerator, annihilator) is None), None)
     if failed is None:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .arith import Field, Monomial, MultiPoly
 from .cohomology import Generator, Presentation
 from .factor import GrowthReport, accumulate_reports, factor_homogeneous_st
-from .matrices import build_b, build_m, det
+from .matrices import build_b, build_m, continuant
 
 CASE_BELOW = "below"
 CASE_AT_N = "at_n"
@@ -102,6 +102,6 @@ def witness_growth(n_set: Sequence[int], field: Field,
     reports = []
     for n in values:
         component = component_t(n, n + 1, field)
-        determinant = det(component.presentation.relations)
+        determinant = continuant(component.presentation.relations)
         reports.append(factor_homogeneous_st(determinant, seed=seed))
     return accumulate_reports(values, reports)

@@ -1,9 +1,12 @@
 """Matrix builders and exact linear algebra over the polynomial ring.
 
 The builders produce the tridiagonal family A, its x=y=1 specialization
-Abar, the square truncation B, and the taller relation matrix M.  The
-determinant engine is fraction-free (Bareiss), with cofactor expansion
-retained as an independent small-size oracle.
+Abar, the square truncation B, and the taller relation matrix M.  Tridiagonal
+determinants come from the continuant (three-term) recurrence, and
+certify_det_b proves det(B_n) = tau_n independently of it, from the closed
+form of adj(B_n) e_1.  The generic determinant is fraction-free (Bareiss),
+with cofactor expansion, adjugate columns and square-system membership kept
+as structure-blind oracles.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Field, Monomial, MultiPoly, exact_divide
+from .arith import Field, Monomial, MultiPoly, exact_divide, tau
 
 
 class PolyMatrix:
@@ -77,7 +80,8 @@ class PolyMatrix:
         return out
 
     def substitute(self, values) -> PolyMatrix:
-        return PolyMatrix([[e.substitute(values) for e in row] for row in self._entries])
+        return PolyMatrix([[e if e.is_zero() else e.substitute(values) for e in row]
+                           for row in self._entries])
 
     def without_rows(self, drop) -> PolyMatrix:
         dropped = set(drop)
@@ -186,6 +190,50 @@ def det(m: PolyMatrix, method: str = "bareiss") -> MultiPoly:
     if method == "cofactor":
         return _det_cofactor(m)
     raise ValueError(f"unknown determinant method {method!r}")
+
+
+def continuant(m: PolyMatrix) -> MultiPoly:
+    """Determinant of a tridiagonal matrix by the continuant recurrence
+    D_k = m[k,k] D_(k-1) - m[k,k-1] m[k-1,k] D_(k-2), with D_0 = 1."""
+    if not m.is_square:
+        raise ValueError("continuant of a non-square matrix")
+    n = m.rows
+    if any(not m[r, c].is_zero() for r in range(n) for c in range(n) if abs(r - c) > 1):
+        raise ValueError("continuant of a matrix with entries outside its three "
+                         "central diagonals")
+    before, current = MultiPoly.one(m.field), m[0, 0]
+    for k in range(1, n):
+        before, current = current, m[k, k] * current - m[k, k - 1] * m[k - 1, k] * before
+    return current
+
+
+def certify_det_b(b: PolyMatrix) -> list:
+    """Prove det(b) = tau_n for n = b.rows and return w = adj(b) e_1.
+
+    w is written down from the closed form for tridiagonal inverses (R. A.
+    Usmani, Linear Algebra Appl. 212/213, 1994): w_i = (-s)^i * tau_(n-1-i),
+    with tau_0 = 1.  Two exact checks against b's own entries make it a
+    proof; ArithmeticError is raised when either fails.
+    """
+    field = b.field
+    n = b.rows
+    s = MultiPoly.variable(field, "s")
+    minus_s = -s
+    w = [minus_s ** i * tau(n - 1 - i, field) for i in range(n - 1)]
+    w.append(minus_s ** (n - 1))
+    if b.mul_vector(w) != [tau(n, field)] + [MultiPoly.zero(field)] * (n - 1):
+        raise ArithmeticError("B w = tau e_1 does not hold")
+    if (any(not b[r, c].is_zero() for r in range(n) for c in range(r - 1))
+            or any(b[r, r - 1] != s for r in range(1, n))):
+        raise ArithmeticError("B is not zero below a subdiagonal of s")
+    # Deleting the first row and the last column of such a B leaves a
+    # triangular matrix with s on its diagonal, so
+    # adj(B)[n-1][0] = (-s)^(n-1) = w[n-1] != 0.
+    # Since adj(B) B = det(B) I, applying adj(B) to B w = tau e_1 gives
+    # det(B) w = tau adj(B) e_1, whose last component proves det B = tau != 0;
+    # hence w = adj(B) e_1, and B with column i replaced by e_1 has
+    # determinant w[i]: these are the Cramer numerators of e_1.
+    return w
 
 
 def _det_bareiss(m: PolyMatrix) -> MultiPoly:

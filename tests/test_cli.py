@@ -1,13 +1,15 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import cokerlab
-from cokerlab import cohomology, factor, matrices
+from cokerlab import cli, cohomology, factor, frobenius, matrices
 from cokerlab.arith import Field, MultiPoly, tau
 from cokerlab.cli import (
     EXIT_CHECK_FAILED,
@@ -65,13 +67,56 @@ class TestExitCodes:
         assert main(["cohomology", "--d-min", "1", "--d-max", "3"]) == EXIT_USAGE
         assert main(["cohomology", "--d-min", "5", "--d-max", "3"]) == EXIT_USAGE
 
-    def test_unwritable_output(self, tmp_path, capsys):
+    def test_unwritable_output(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "missing" / "r.json"
         assert main(["verify-lemma1", "--max-i", "2", "--output", str(target)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write report to {target}: ")
         assert err.count("\n") == 1
         assert not target.exists()
+        # A failure after the temporary file is written removes it again.
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "r.json"
+        assert main(["verify-lemma1", "--max-i", "2", "--output", str(target)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write report to {target}: Permission denied\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_holds_only_the_report(self, tmp_path, capsys):
+        target = tmp_path / "r.json"
+        target.write_text("an older report\n")
+        assert main(["verify-lemma1", "--max-i", "2"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["verify-lemma1", "--max-i", "2", "--output", str(target)]) == EXIT_OK
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == expected
+
+    def test_output_through_a_symlink_replaces_its_target(self, tmp_path, capsys):
+        target = tmp_path / "r.json"
+        target.write_text("an older report\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["verify-lemma1", "--max-i", "2", "--output", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["all_pass"] is True
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_output_to_a_pipe_is_written_in_place(self, tmp_path, capsys):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()),
+                                  daemon=True)
+        reader.start()
+        assert main(["verify-lemma1", "--max-i", "2", "--output", str(pipe)]) == EXIT_OK
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert json.loads(received[0])["all_pass"] is True
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert list(tmp_path.iterdir()) == [pipe]
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -249,9 +294,15 @@ class TestComputedOnce:
         assert [args[0] for args in factorizations] == [tau(d - 1, q) for d in range(2, 7)]
         # The torsion certificate is written down, not eliminated for.
         assert eliminations == []
-        eliminations.clear()
+        # verify-lemma1 and frobenius take determinants by the continuant.
+        determinants = _count_calls(monkeypatch, frobenius, "continuant")
         assert main(["frobenius", "--n-set", "6,8"]) == EXIT_OK
-        assert len(eliminations) == 2
+        assert eliminations == []
+        assert len(determinants) == 2
+        determinants = _count_calls(monkeypatch, cli, "continuant")
+        assert main(["verify-lemma1", "--max-i", "6"]) == EXIT_OK
+        assert eliminations == []
+        assert len(determinants) == 6
 
 
 class TestCertificateFailure:
@@ -273,6 +324,39 @@ class TestCertificateFailure:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: certificate check failed:")
         assert "Traceback" not in captured.err
+
+    def test_wrong_determinant_reports_identity_false(self, monkeypatch, capsys):
+        build_b = cli.build_b
+
+        def corrupted(i, field):
+            b = build_b(i, field)
+            entries = [list(b.row(r)) for r in range(i)]
+            entries[0][0] = entries[0][0] + MultiPoly.one(field)
+            return PolyMatrix(entries)
+
+        monkeypatch.setattr(cli, "build_b", corrupted)
+        assert main(["verify-lemma1", "--max-i", "3"]) == EXIT_CHECK_FAILED
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["identity"] for r in payload["results"]] == [False, False, False]
+        assert payload["all_pass"] is False
+
+    @pytest.mark.parametrize("argv", [["verify-lemma1", "--max-i", "4"],
+                                      ["frobenius", "--n-set", "6"]],
+                             ids=["verify-lemma1", "frobenius"])
+    def test_transposed_b_fails_the_certificate(self, monkeypatch, capsys, argv):
+        # det(B^T) = det(B) = tau, so only the certificate can reject B^T.
+        build_b = cli.build_b
+
+        def transposed(i, field):
+            b = build_b(i, field)
+            return PolyMatrix([b.column(j) for j in range(i)])
+
+        monkeypatch.setattr(cli, "build_b", transposed)
+        assert main(argv) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: certificate check failed:")
 
 
 class TestConsoleScript:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cokerlab.arith import Field, Monomial, MultiPoly, parse_poly, tau
 from cokerlab.matrices import (
@@ -11,6 +13,7 @@ from cokerlab.matrices import (
     build_abar,
     build_b,
     build_m,
+    continuant,
     det,
     solve_square,
 )
@@ -144,6 +147,41 @@ class TestDeterminant:
     def test_b_vanishes_at_origin(self):
         for i in range(1, 16):
             assert build_b(i, Q).substitute({"s": 0, "t": 0}).is_zero()
+
+
+@st.composite
+def _tridiagonal(draw):
+    # Small random entries in k[s,t]: up to three terms c*s^a*t^b with
+    # a, b <= 2 and |c| <= 3.
+    field = draw(st.sampled_from([Q, F2, F5]))
+    n = draw(st.integers(1, 7))
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.integers(-3, 3), max_size=3)
+
+    def entry():
+        return MultiPoly(field, {Monomial.from_dict({"s": a, "t": b}): field.coerce(c)
+                                 for (a, b), c in draw(terms).items()})
+
+    zero = MultiPoly.zero(field)
+    return PolyMatrix([[entry() if abs(r - c) <= 1 else zero for c in range(n)]
+                       for r in range(n)])
+
+
+class TestContinuant:
+    @settings(max_examples=150, deadline=None)
+    @given(_tridiagonal())
+    def test_matches_structure_blind_determinants(self, m):
+        d = continuant(m)
+        assert d == det(m, "bareiss")
+        assert d == det(m, "cofactor")
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            continuant(build_abar(2, Q))
+
+    def test_entry_outside_the_band_rejected(self):
+        with pytest.raises(ValueError):
+            continuant(qmat([["s", "t", "1"], ["s", "t", "s"], ["0", "s", "t"]]))
 
 
 def _random_matrix(rng, field, n):
