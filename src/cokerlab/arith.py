@@ -112,12 +112,12 @@ class Field:
             if isinstance(value, int):
                 return value
             return value.numerator if value.denominator == 1 else value
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError("denominator vanishes modulo p")
-            return (value.numerator % self.p) * pow(den, -1, self.p) % self.p
-        return value % self.p
+        if isinstance(value, int):
+            return value % self.p
+        den = value.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError("denominator vanishes modulo p")
+        return (value.numerator % self.p) * pow(den, -1, self.p) % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.p is None else (a + b) % self.p
@@ -652,12 +652,13 @@ class UniPoly:
         f = self.field
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(f, self.var)
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # Accumulate exact products and bring each sum into the field once.
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
+                out[i + j] += a * b
         return UniPoly(f, self.var, out)
 
     def __rmul__(self, other):
@@ -688,18 +689,22 @@ class UniPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
+        # rem holds exact integers (or rationals) congruent to the remainder;
+        # only its leading coefficient is brought into the field, once per step.
         rem = list(self.coeffs)
         dn = other.degree()
         inv_lead = f.inv(other.lc)
+        lower = other.coeffs[:-1]
         quot = [f.zero] * max(len(rem) - dn, 0)
-        while len(rem) - 1 >= dn and rem:
-            k = len(rem) - 1 - dn
-            c = f.mul(rem[-1], inv_lead)
+        while len(rem) - 1 >= dn:
+            lead = f.coerce(rem.pop())
+            if lead == 0:
+                continue
+            k = len(rem) - dn
+            c = f.mul(lead, inv_lead)
             quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = f.sub(rem[k + j], f.mul(c, b))
-            while rem and rem[-1] == 0:
-                rem.pop()
+            for j, b in enumerate(lower):
+                rem[k + j] -= c * b
         return (UniPoly(f, self.var, quot), UniPoly(f, self.var, rem))
 
     def __floordiv__(self, other: UniPoly) -> UniPoly:

@@ -1,13 +1,19 @@
 """Univariate factorization and distinct-factor growth tracking.
 
-Over the rationals, the only inputs that ever need factoring are products
-of cyclotomic polynomials, which are peeled off by exact trial division
-(cyclotomic irreducibility over Q is classical and assumed; pairwise
-coprimality of reported factors is re-verified instead).  Over a prime
-field the engine is complete: squarefree decomposition, distinct-degree
-splitting, then randomized equal-degree splitting with an optional seed.
-Factor lists are sorted canonically, so reports do not depend on the
-random path taken.
+tau_i is read off its cyclotomic structure: it dehomogenizes to sigma_i, the
+product of the Phi_m over the divisors m > 1 of i + 1.  Over the rationals
+each Phi_m is irreducible (classical and assumed).  Over F_p, with
+i + 1 = p^e * n and p not dividing n, the multiplicities come from p^e, and
+each Phi_m with m | n splits into phi(m)/ord_m(p) irreducibles of degree
+ord_m(p); it is split once per process by equal-degree splitting with that
+known degree, and every factor is proven irreducible by Rabin's test.
+Reassembly and pairwise coprimality of every report are re-verified.
+
+Other inputs (the Frobenius determinants, and tests' oracles) go through the
+generic engines: exact cyclotomic trial division over Q, and over a prime
+field squarefree decomposition, distinct-degree splitting, then randomized
+equal-degree splitting with an optional seed.  Factor lists are sorted
+canonically, so reports do not depend on the random path taken.
 """
 
 from __future__ import annotations
@@ -163,21 +169,28 @@ def cyclotomic(n: int) -> UniPoly:
     return poly
 
 
+def _prime_divisors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def totient(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
     if n < 1:
         raise ValueError("totient requires n >= 1")
     result = n
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            while m % q == 0:
-                m //= q
-            result -= result // q
-        q += 1
-    if m > 1:
-        result -= result // m
+    for q in _prime_divisors(n):
+        result -= result // q
     return result
 
 
@@ -185,9 +198,12 @@ def factor_sigma_rational(i: int) -> FactorReport:
     """sigma_i over Q is the product of the cyclotomics at divisors > 1 of i+1."""
     if i < 1:
         raise ValueError("factor_sigma_rational requires i >= 1")
-    divisors = sorted(d for d in range(2, i + 2) if (i + 1) % d == 0)
-    factors = tuple((cyclotomic(d), 1) for d in divisors)
+    factors = tuple((cyclotomic(m), 1) for m in _divisors_above_one(i + 1))
     return FactorReport(input=sigma(i, _Q), unit=1, factors=factors)
+
+
+def _divisors_above_one(n: int) -> list:
+    return [m for m in range(2, n + 1) if n % m == 0]
 
 
 def _cyclotomic_trial_division(w: UniPoly) -> list:
@@ -294,31 +310,94 @@ def _random_poly(rng: random.Random, field: Field, var: str, degree: int) -> Uni
             return poly
 
 
-def _equal_degree(f: UniPoly, k: int, rng: random.Random) -> list:
+def _frobenius_matrix(f: UniPoly) -> list:
+    """The Frobenius (Berlekamp Q-) matrix of f: rows x^(p*j) mod f for
+    j < deg f, built from x^p mod f by repeated multiplication.  When
+    p < deg f, x^p is a single term and each row costs one shift and one
+    reduction."""
+    xp = _pow_mod(UniPoly.gen(f.field, f.var), f.field.p, f)
+    rows = [UniPoly.one(f.field, f.var)]
+    for _ in range(1, f.degree()):
+        rows.append((xp * rows[-1]) % f)
+    return rows
+
+
+def _frobenius(h: UniPoly, rows: list) -> UniPoly:
+    """h^p mod f for h reduced mod f, given f's Frobenius matrix: over F_p
+    the coefficients are their own p-th powers, so h^p = sum h_j x^(p*j)."""
+    p = h.field.p
+    out = [0] * len(rows)
+    for c, row in zip(h.coeffs, rows):
+        if c:
+            for j, a in enumerate(row.coeffs):
+                out[j] += c * a
+    return UniPoly(h.field, h.var, [v % p for v in out])
+
+
+def _conjugate_fold(r: UniPoly, k: int, rows: list, combine) -> UniPoly:
+    """r combined with r^p, ..., r^(p^(k-1)) by an associative, commutative
+    combine, in O(log k) combines: with S_j the fold of the first j terms,
+    S_2j = combine(S_j, S_j^(p^j)) and S_(j+1) = combine(r, S_j^p)."""
+    acc, j = r, 1
+    for bit in bin(k)[3:]:
+        shifted = acc
+        for _ in range(j):
+            shifted = _frobenius(shifted, rows)
+        acc, j = combine(acc, shifted), 2 * j
+        if bit == "1":
+            acc, j = combine(r, _frobenius(acc, rows)), j + 1
+    return acc
+
+
+def _equal_degree(f: UniPoly, k: int, rng: random.Random,
+                  frobenius: Optional[list] = None) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-k
-    irreducibles into the irreducibles themselves."""
-    if f.degree() == k:
+    irreducibles into the irreducibles themselves.
+
+    ``frobenius`` is the Frobenius matrix of a multiple of f (the block f was
+    split from); its rows reduced mod f are f's own.  For odd p the splitting
+    power is r^((p^k-1)/2) = (r * r^p * ... * r^(p^(k-1)))^((p-1)/2), and for
+    p = 2 the trace r + r^2 + ... + r^(2^(k-1)); each r^(p^j) is a
+    vector-matrix product (von zur Gathen and Shoup, 1992)."""
+    n = f.degree()
+    if n == k:
         return [f]
     p = f.field.p
-    x_deg = f.degree()
+    if k == 1:
+        rows = None
+    elif frobenius is None:
+        rows = _frobenius_matrix(f)
+    else:
+        rows = [row % f for row in frobenius[:n]]
     for _ in range(_EDF_MAX_TRIES):
-        r = _random_poly(rng, f.field, f.var, x_deg - 1)
+        r = _random_poly(rng, f.field, f.var, n - 1)
         g = gcd_univariate(f, r)
         if g.degree() == 0:
             if p == 2:
-                acc = r
-                power = r
-                for _ in range(k - 1):
-                    power = _pow_mod(power, 2, f)
-                    acc = (acc + power) % f
-                g = gcd_univariate(f, acc)
+                acc = _conjugate_fold(r, k, rows, lambda a, b: a + b)
             else:
-                e = (p ** k - 1) // 2
-                g = gcd_univariate(f, _pow_mod(r, e, f) - 1)
-        if 0 < g.degree() < f.degree():
-            return (_equal_degree(g, k, rng)
-                    + _equal_degree(f.exact_quotient(g), k, rng))
+                norm = _conjugate_fold(r, k, rows, lambda a, b: (a * b) % f)
+                acc = _pow_mod(norm, (p - 1) // 2, f) - 1
+            g = gcd_univariate(f, acc)
+        if 0 < g.degree() < n:
+            return (_equal_degree(g, k, rng, rows)
+                    + _equal_degree(f.exact_quotient(g), k, rng, rows))
     raise ArithmeticError("equal-degree splitting failed to converge")
+
+
+def _is_irreducible(g: UniPoly) -> bool:
+    """Rabin's test for a monic g of degree k >= 1 over F_p: g is irreducible
+    iff x^(p^k) = x mod g and gcd(x^(p^(k/r)) - x, g) = 1 for every prime r
+    dividing k (Rabin, SIAM J. Comput. 9, 1980).  The Frobenius matrix is
+    built here from g's own x^p mod g, so a split never certifies itself."""
+    k = g.degree()
+    rows = _frobenius_matrix(g)
+    x = UniPoly.gen(g.field, g.var) % g
+    powers = [x]  # x^(p^j) mod g
+    for _ in range(k):
+        powers.append(_frobenius(powers[-1], rows))
+    return powers[k] == x and all(gcd_univariate(powers[k // r] - x, g).is_one()
+                                  for r in _prime_divisors(k))
 
 
 def factor_over_prime_field(f: UniPoly, seed: Optional[int] = None) -> FactorReport:
@@ -372,15 +451,66 @@ def factor_homogeneous_st(g: MultiPoly, seed: Optional[int] = None) -> FactorRep
     factors = []
     if s_content:
         factors.append((MultiPoly.variable(field, "s"), s_content))
-    for poly, mult in pairs:
-        factors.append((homogenize(poly), mult))
+    factors.extend((homogenize(poly), mult) for poly, mult in pairs)
+    return _homogeneous_report(g, unit, factors)
+
+
+def _homogeneous_report(g: MultiPoly, unit, factors: list) -> FactorReport:
     factors.sort(key=lambda pair: (pair[0].degree(), str(pair[0])))
     return FactorReport(input=g, unit=unit, factors=tuple(factors))
 
 
 def factor_tau(i: int, field: Field, seed: Optional[int] = None) -> FactorReport:
-    """Factor tau_i into homogeneous irreducibles over the given field."""
-    return factor_homogeneous_st(tau(i, field), seed=seed)
+    """Factor tau_i into homogeneous irreducibles over the given field.
+
+    tau_i is (-1)^i times the homogenization of sigma_i, the product of the
+    cyclotomic polynomials at the divisors m > 1 of i + 1, so the factors are
+    read off that structure: over Q each Phi_m is irreducible, and over F_p
+    each Phi_m with p not dividing m is split once per process.
+    """
+    g = tau(i, field)
+    if field.is_rationals:
+        pairs = [(cyclotomic(m), 1) for m in _divisors_above_one(i + 1)]
+    else:
+        pairs = _factor_sigma_mod_p(i, field, seed)
+    factors = [(homogenize(poly), mult) for poly, mult in pairs]
+    return _homogeneous_report(g, dehomogenize(g).lc, factors)
+
+
+def _factor_sigma_mod_p(i: int, field: Field, seed: Optional[int]) -> list:
+    # With i + 1 = p^e * n and p not dividing n, sigma_i is
+    # (t^n - 1)^(p^e) / (t - 1) over F_p, and t^n - 1 is the squarefree
+    # product of the Phi_m over the divisors m of n.
+    p = field.p
+    n, q = i + 1, 1
+    while n % p == 0:
+        n //= p
+        q *= p
+    pairs = []
+    if q > 1:
+        pairs.append((UniPoly(field, "t", [-1, 1]), q - 1))
+    for m in _divisors_above_one(n):
+        pairs.extend((poly, q) for poly in _split_cyclotomic(m, field, seed))
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _split_cyclotomic(m: int, field: Field, seed: Optional[int]) -> tuple:
+    """Phi_m mod p, for p not dividing m, as its phi(m)/k monic irreducible
+    factors of degree k = ord_m(p) (Lidl and Niederreiter, Finite Fields,
+    Thm 2.47), each proven irreducible by Rabin's test."""
+    p = field.p
+    k, power = 1, p % m
+    while power != 1:
+        power = power * p % m
+        k += 1
+    phi = UniPoly(field, "t", cyclotomic(m).coeffs)
+    factors = _equal_degree(phi, k, random.Random(f"{seed}:{m}"))
+    for poly in factors:
+        if not _is_irreducible(poly):
+            raise ArithmeticError(
+                f"factor {poly} of Phi_{m} mod {p} fails Rabin's irreducibility test")
+    return tuple(factors)
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import cokerlab
 from cokerlab import cli, cohomology, factor, frobenius, matrices
-from cokerlab.arith import Field, MultiPoly, tau
+from cokerlab.arith import Field, MultiPoly, UniPoly, tau
 from cokerlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -284,14 +284,17 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 class TestComputedOnce:
     def test_one_factorization_per_d_and_one_determinant_per_n(self, monkeypatch, capsys):
-        # factor_tau factors through the factor module's global, and det,
+        # The runners call factor_tau through the cli binding, and
+        # accumulate_distinct through the factor module's; det,
         # adjugate_column and solve_square all eliminate through the matrices
         # module's global, so these count every call whichever binding starts it.
-        factorizations = _count_calls(monkeypatch, factor, "factor_homogeneous_st")
+        factorizations = _count_calls(monkeypatch, factor, "factor_tau")
+        cli_factorizations = _count_calls(monkeypatch, cli, "factor_tau")
         eliminations = _count_calls(monkeypatch, matrices, "_det_bareiss")
         assert main(["cohomology", "--d-min", "2", "--d-max", "6"]) == EXIT_OK
         q = Field.rationals()
-        assert [args[0] for args in factorizations] == [tau(d - 1, q) for d in range(2, 7)]
+        assert [tau(*args) for args in factorizations + cli_factorizations] \
+            == [tau(d - 1, q) for d in range(2, 7)]
         # The torsion certificate is written down, not eliminated for.
         assert eliminations == []
         # verify-lemma1 and frobenius take determinants by the continuant.
@@ -303,6 +306,16 @@ class TestComputedOnce:
         assert main(["verify-lemma1", "--max-i", "6"]) == EXIT_OK
         assert eliminations == []
         assert len(determinants) == 6
+
+    def test_each_cyclotomic_split_once_per_process(self, monkeypatch, capsys):
+        f7 = Field.prime(7)
+        cyclotomics = {UniPoly(f7, "t", factor.cyclotomic(m).coeffs)
+                       for m in range(2, 32) if m % 7}
+        factor._split_cyclotomic.cache_clear()
+        blocks = _count_calls(monkeypatch, factor, "_equal_degree")
+        assert main(["factors", "--set", "1..30", "--field", "fp:7"]) == EXIT_OK
+        split = [args[0] for args in blocks if args[0] in cyclotomics]
+        assert len(split) == len(set(split)) == len(cyclotomics)
 
 
 class TestCertificateFailure:

@@ -1,7 +1,11 @@
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cokerlab import factor
 from cokerlab.arith import (
     Field,
     MultiPoly,
@@ -15,6 +19,7 @@ from cokerlab.arith import (
 from cokerlab.factor import (
     FactorReport,
     GrowthReport,
+    _is_irreducible,
     accumulate_distinct,
     cyclotomic,
     factor_homogeneous_st,
@@ -30,6 +35,7 @@ Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F7 = Field.prime(7)
+PRIMES = (2, 3, 5, 7, 11, 101)
 
 
 def qp(text):
@@ -152,6 +158,13 @@ class TestFactorOverPrimeField:
         assert a.factors == b.factors
 
 
+@pytest.fixture
+def fresh_splits():
+    factor._split_cyclotomic.cache_clear()
+    yield
+    factor._split_cyclotomic.cache_clear()
+
+
 class TestFactorTau:
     def test_tau2_rational(self):
         report = factor_tau(2, Q)
@@ -176,11 +189,65 @@ class TestFactorTau:
                 assert poly.is_homogeneous()
                 assert poly.variables() <= {"s", "t"}
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(1, 80), st.booleans(),
+           st.integers(0, 3))
+    def test_cyclotomic_route_matches_generic_engine(self, p, i, p_divides, seed):
+        # With p_divides, move i to the nearest index <= 80 with p | i + 1.
+        if p_divides and p <= 81:
+            i = max(p, (i + 1) // p * p) - 1
+        field = Field.prime(p)
+        fast = factor_tau(i, field, seed=seed)
+        oracle = factor_homogeneous_st(tau(i, field), seed=seed)
+        assert fast.factors == oracle.factors
+        assert fast.unit == oracle.unit
+
+    def test_rational_route_matches_trial_division(self):
+        for i in range(1, 81):
+            fast = factor_tau(i, Q)
+            oracle = factor_homogeneous_st(tau(i, Q))
+            assert fast.factors == oracle.factors
+            assert fast.unit == oracle.unit
+
+    def test_unsplit_block_fails_rabin(self, monkeypatch, fresh_splits):
+        # Phi_7 mod 2 is two cubics; a split that returns it whole must not
+        # reach a report.
+        monkeypatch.setattr(factor, "_equal_degree", lambda f, k, rng, frobenius=None: [f])
+        with pytest.raises(ArithmeticError):
+            factor_tau(6, F2)
+
+    def test_tau_200_over_f101_within_20s(self, fresh_splits):
+        start = time.monotonic()
+        report = factor_tau(200, Field.prime(101))
+        elapsed = time.monotonic() - start
+        assert sum(p.degree() * m for p, m in report.factors) == 200
+        assert elapsed < 20.0
+
     def test_s_never_divides_tau(self):
         for i in range(1, 31):
             t_i = tau(i, Q)
             # The coefficient of t^i is +-1, so s cannot divide tau_i.
             assert dehomogenize(t_i).degree() == i
+
+
+class TestRabin:
+    def test_accepts_the_cubic_factors_of_phi7_mod_2(self):
+        for coeffs in ([1, 1, 0, 1], [1, 0, 1, 1]):  # t^3+t+1, t^3+t^2+1
+            assert _is_irreducible(UniPoly(F2, "t", coeffs))
+        assert UniPoly(F2, "t", [1, 1, 0, 1]) * UniPoly(F2, "t", [1, 0, 1, 1]) \
+            == UniPoly(F2, "t", cyclotomic(7).coeffs)
+
+    def test_rejects_product_of_equal_degree_irreducibles(self):
+        assert not _is_irreducible(UniPoly(F2, "t", cyclotomic(7).coeffs))
+
+    def test_rejects_square(self):
+        t = UniPoly.gen(F2)
+        assert not _is_irreducible((t ** 2 + t + 1) ** 2)
+
+    def test_rejects_polynomial_with_a_root(self):
+        f = UniPoly(F3, "t", [1, 1, 0, 1])  # t^3+t+1 vanishes at t = 1
+        assert f(1) == 0
+        assert not _is_irreducible(f)
 
 
 class TestFactorHomogeneous:
