@@ -7,9 +7,9 @@ i + 1 = p^e * n and p not dividing n, the multiplicities come from p^e, and
 each Phi_m with m | n splits into phi(m)/ord_m(p) irreducibles of degree
 ord_m(p); it is split once per process by equal-degree splitting with that
 known degree, and every factor is proven irreducible by Rabin's test.
-Reassembly and pairwise coprimality of every report are re-verified.
+Each report re-verifies reassembly and the squarefree product of its factors.
 
-Other inputs (the Frobenius determinants, and tests' oracles) go through the
+Other inputs (a determinant that is not tau, and tests' oracles) go through the
 generic engines: exact cyclotomic trial division over Q, and over a prime
 field squarefree decomposition, distinct-degree splitting, then randomized
 equal-degree splitting with an optional seed.  Factor lists are sorted
@@ -49,7 +49,7 @@ class FactorReport:
     """Factorization into canonically normalized irreducibles.
 
     unit * product(factor^multiplicity) reassembles the input exactly; this
-    and pairwise coprimality are re-verified at construction.
+    and the squarefree product of the distinct factors are re-verified.
     """
 
     input: Union[MultiPoly, UniPoly]
@@ -57,24 +57,30 @@ class FactorReport:
     factors: tuple  # pairs (polynomial, multiplicity >= 1)
 
     def __post_init__(self) -> None:
-        base = self.input.field
-        if isinstance(self.input, MultiPoly):
-            product = MultiPoly.constant(base, self.unit)
-        else:
-            product = UniPoly.constant(base, self.unit, self.input.var)
+        homogeneous = isinstance(self.input, MultiPoly)
+        target = dehomogenize(self.input) if homogeneous else self.input
+        product = UniPoly.constant(target.field, self.unit, target.var)
+        distinct = UniPoly.one(target.field, target.var)
+        degree = s_divisible = 0
         for poly, mult in self.factors:
             if mult < 1:
                 raise ValueError("factor multiplicities must be >= 1")
             if not _is_canonical_factor(poly):
                 raise ValueError(f"factor {poly} is not canonically normalized")
-            product = product * poly ** mult
-        if product != self.input:
+            u = dehomogenize(poly) if homogeneous else poly
+            product = product * u ** mult
+            distinct = distinct * u
+            degree += mult * poly.degree()
+            s_divisible += u.degree() < poly.degree()
+        # dehomogenize accepts only forms in s, t; on forms of one degree,
+        # setting s = 1 is injective.  s itself goes to 1, so the degree sum
+        # is what catches a dropped power of s.
+        if product != target or (homogeneous and degree != self.input.degree()):
             raise ArithmeticError("factorization does not reassemble the input")
-        dehomogenized = [_as_univariate(poly) for poly, _ in self.factors]
-        for i in range(len(dehomogenized)):
-            for j in range(i + 1, len(dehomogenized)):
-                if not gcd_univariate(dehomogenized[i], dehomogenized[j]).is_one():
-                    raise ArithmeticError("factors are not pairwise coprime")
+        # Factors sharing a divisor h put h^2 into their product; and s, which
+        # dehomogenizes to 1, may divide one factor only.
+        if s_divisible > 1 or not _is_squarefree(distinct):
+            raise ArithmeticError("factors are not pairwise coprime")
 
     def factor_strings(self) -> list:
         return [str(poly) for poly, _ in self.factors]
@@ -83,10 +89,18 @@ class FactorReport:
         return {poly for poly, _ in self.factors}
 
 
-def _as_univariate(poly: Union[MultiPoly, UniPoly]) -> UniPoly:
-    if isinstance(poly, UniPoly):
-        return poly
-    return dehomogenize(poly)
+def _is_squarefree(f: UniPoly) -> bool:
+    """gcd(f, f') = 1; over F_p, f' = 0 leaves gcd f.  For f in Z[t] with
+    lc(f) prime to the check prime p, a square h^2 | f over Q may be taken
+    with h primitive in Z[t] (Gauss's lemma), so lc(h) is prime to p and
+    (h mod p)^2 divides f mod p with deg(h mod p) >= 1: a gcd of 1 mod p
+    proves f squarefree, and any other modular result is settled over Q."""
+    if (f.field.is_rationals and all(isinstance(c, int) for c in f.coeffs)
+            and f.lc % _CHECK_FIELD.p):
+        reduced = UniPoly(_CHECK_FIELD, f.var, f.coeffs)
+        if gcd_univariate(reduced, reduced.derivative()).is_one():
+            return True
+    return gcd_univariate(f, f.derivative()).is_one()
 
 
 def _is_canonical_factor(poly: Union[MultiPoly, UniPoly]) -> bool:
@@ -155,18 +169,31 @@ def accumulate_reports(indices: Sequence[int], reports: Sequence[FactorReport]) 
 # Cyclotomic polynomials and rational factorization.
 
 _Q = Field.rationals()
+# The prime of _is_squarefree's modular test; built once, as Field.prime trial-divides.
+_CHECK_FIELD = Field.prime(1_000_003)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> UniPoly:
-    """n-th cyclotomic polynomial over Q, by exact division of t^n - 1."""
+    """n-th cyclotomic polynomial over Q, as the Moebius product of the
+    (t^d - 1)^mu(n/d) over the divisors d of n, on integer coefficient lists."""
     if n < 1:
         raise ValueError("cyclotomic(n) requires n >= 1")
-    poly = UniPoly(_Q, "t", [-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly.exact_quotient(cyclotomic(d))
-    return poly
+    binomials = [(n, 1)]  # (d, mu(n/d)) for the squarefree n/d
+    for q in _prime_divisors(n):
+        binomials += [(d // q, -mu) for d, mu in binomials]
+    coeffs = [1]
+    for d, mu in sorted(binomials, key=lambda pair: -pair[1]):
+        if mu == 1:  # multiply by t^d - 1
+            coeffs = [hi - lo for hi, lo in zip([0] * d + coeffs, coeffs + [0] * d)]
+            continue
+        rem, coeffs = coeffs, [0] * (len(coeffs) - d)  # divide from the top
+        for k in range(len(rem) - 1, d - 1, -1):
+            coeffs[k - d] = rem[k]
+            rem[k - d] += rem[k]
+        if any(rem[:d]):
+            raise ArithmeticError(f"t^{d} - 1 does not divide the product for Phi_{n}")
+    return UniPoly(_Q, "t", coeffs)
 
 
 def _prime_divisors(n: int) -> list:

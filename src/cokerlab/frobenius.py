@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Field, Monomial, MultiPoly
+from .arith import Field, Monomial, MultiPoly, tau
 from .cohomology import Generator, Presentation
-from .factor import GrowthReport, accumulate_reports, factor_homogeneous_st
+from .factor import GrowthReport, accumulate_reports, factor_homogeneous_st, factor_tau
 from .matrices import build_b, build_m, continuant
 
 CASE_BELOW = "below"
@@ -95,7 +95,8 @@ def component_t(n: int, d: int, field: Field) -> FrobeniusComponent:
 def witness_growth(n_set: Sequence[int], field: Field,
                    seed: Optional[int] = None) -> GrowthReport:
     """Distinct irreducible factors of the collapsed determinants, accumulated
-    across the given n values in order."""
+    across the given n values in order.  A determinant equal to tau_(n-2)
+    takes factor_tau's Rabin-proven splits; any other the generic engine."""
     values = list(n_set)
     if any(n < 6 for n in values):
         raise ValueError("witness_growth requires every n >= 6")
@@ -103,5 +104,7 @@ def witness_growth(n_set: Sequence[int], field: Field,
     for n in values:
         component = component_t(n, n + 1, field)
         determinant = continuant(component.presentation.relations)
-        reports.append(factor_homogeneous_st(determinant, seed=seed))
+        certified = determinant == tau(n - 2, field)
+        reports.append(factor_tau(n - 2, field, seed) if certified
+                       else factor_homogeneous_st(determinant, seed=seed))
     return accumulate_reports(values, reports)

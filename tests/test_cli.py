@@ -318,6 +318,42 @@ class TestComputedOnce:
         assert len(split) == len(set(split)) == len(cyclotomics)
 
 
+    def test_frobenius_factors_by_the_certified_route(self, monkeypatch, capsys):
+        # Every collapsed determinant is tau_(n-2), so its F_p factors come
+        # from factor_tau's Rabin-proven splits, not the generic engine.
+        factor._split_cyclotomic.cache_clear()
+        generic = _count_calls(monkeypatch, factor, "_distinct_degree")
+        proofs = _count_calls(monkeypatch, factor, "_is_irreducible")
+        assert main(["frobenius", "--n-set", "6..12", "--field", "fp:5"]) == EXIT_OK
+        assert generic == []
+        assert proofs
+
+    @pytest.mark.parametrize("field", ["q", "fp:7"])
+    def test_at_most_one_gcd_per_report(self, monkeypatch, capsys, field):
+        # A report proves its factors coprime by one squarefree test of their
+        # product; gcds inside a cyclotomic split (equal-degree splitting,
+        # Rabin's test) are not the report's.
+        gcd, split = factor.gcd_univariate, factor._split_cyclotomic
+        splitting, report_gcds = [], []
+
+        def counting_gcd(*args):
+            if not splitting:
+                report_gcds.append(args)
+            return gcd(*args)
+
+        def marked_split(*args):
+            splitting.append(args)
+            try:
+                return split(*args)
+            finally:
+                splitting.pop()
+
+        monkeypatch.setattr(factor, "gcd_univariate", counting_gcd)
+        monkeypatch.setattr(factor, "_split_cyclotomic", marked_split)
+        assert main(["factors", "--set", "1..40", "--field", field]) == EXIT_OK
+        assert 0 < len(report_gcds) <= 40
+
+
 class TestCertificateFailure:
     def test_wrong_b_exits_1_without_traceback(self, monkeypatch, capsys):
         build_b = cohomology.build_b

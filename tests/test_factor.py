@@ -1,5 +1,7 @@
 import math
 import time
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from cokerlab.arith import (
     UniPoly,
     dehomogenize,
     gcd_univariate,
+    homogenize,
     parse_poly,
     sigma,
     tau,
@@ -46,6 +49,46 @@ def _brute_totient(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_by_division(n):
+    # Oracle: t^n - 1 divided exactly by Phi_d for every proper divisor d.
+    poly = UniPoly(Q, "t", [-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            poly = poly.exact_quotient(_cyclotomic_by_division(d))
+    return poly
+
+
+def _pairwise_coprime_and_squarefree(polys):
+    # Oracle: a gcd for every pair of listed factors, and one for each factor
+    # and its derivative.  The product test is stronger than pairwise
+    # coprimality by exactly the latter, which every irreducible factor over
+    # Q or F_p passes.
+    return (all(gcd_univariate(a, b).is_one()
+                for k, a in enumerate(polys) for b in polys[k + 1:])
+            and all(gcd_univariate(a, a.derivative()).is_one() for a in polys))
+
+
+CHECK_PRIME = factor._CHECK_FIELD.p
+
+
+@st.composite
+def _canonical_factor_lists(draw):
+    # Small coefficients (and the check prime, which vanishes mod itself) so
+    # that shared factors and modular collisions are common.
+    p = draw(st.sampled_from((None, 2, 3, 7)))
+    field = Q if p is None else Field.prime(p)
+    leads = [1, 2, 3, Fraction(1, 2), CHECK_PRIME] if p is None else [1]
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        degree = draw(st.integers(1, 3))
+        coeffs = draw(st.lists(st.sampled_from([-2, -1, 0, 1, 2, CHECK_PRIME]),
+                               min_size=degree, max_size=degree))
+        lead = draw(st.sampled_from(leads))
+        pairs.append((UniPoly(field, "t", coeffs + [lead]), draw(st.integers(1, 3))))
+    return pairs
+
+
 class TestCyclotomic:
     def test_base_cases(self):
         t = UniPoly.gen(Q)
@@ -72,6 +115,16 @@ class TestCyclotomic:
     def test_degree_is_totient(self):
         for n in range(1, 51):
             assert cyclotomic(n).degree() == totient(n) == _brute_totient(n)
+
+    def test_matches_repeated_division(self):
+        t = UniPoly.gen(Q)
+        for n in range(1, 301):
+            assert cyclotomic(n) == _cyclotomic_by_division(n)
+            product = UniPoly.one(Q)
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    product = product * cyclotomic(d)
+            assert product == t ** n - 1
 
 
 class TestFactorSigmaRational:
@@ -295,6 +348,58 @@ class TestFactorReportInvariants:
         with pytest.raises(ArithmeticError):
             FactorReport(input=qp("t^2+2*s*t+s^2"), unit=1,
                          factors=((qp("t+s"), 1), (qp("t+s"), 1)))
+
+    def test_degree_sum_catches_a_dropped_power_of_s(self):
+        # s*t + s^2 and t + s both dehomogenize to t + 1.
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=qp("s*t+s^2"), unit=1, factors=((qp("t+s"), 1),))
+
+    def test_rejects_s_listed_twice(self):
+        # s dehomogenizes to 1, so only the count of factors s divides sees this.
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=qp("s^2"), unit=1, factors=((qp("s"), 1), (qp("s"), 1)))
+
+    def test_coprime_factors_equal_mod_the_check_prime_are_accepted(self):
+        # t and t - p*s coincide mod p, so only the exact gcd over Q settles it.
+        factors = ((qp("t"), 1), (qp(f"t-{CHECK_PRIME}*s"), 1))
+        report = FactorReport(input=qp(f"t^2-{CHECK_PRIME}*s*t"), unit=1, factors=factors)
+        assert report.factors == factors
+
+    def test_rejects_non_monic_shared_factor_over_q(self):
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=qp("2*t^2+4*s*t+2*s^2"), unit=1,
+                         factors=((qp("t+s"), 1), (qp("2*t+2*s"), 1)))
+
+    def test_rejects_square_whose_leading_coefficient_vanishes_mod_the_check_prime(self):
+        # Mod p the product (p*t + 1)^2 is the constant 1.
+        f = UniPoly(Q, "t", [1, CHECK_PRIME])
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=f ** 2, unit=1, factors=((f, 1), (f, 1)))
+
+    def test_rejects_duplicate_factors_over_f7(self):
+        t = UniPoly.gen(F7)
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=(t + 1) ** 2, unit=1, factors=((t + 1, 1), (t + 1, 1)))
+        # Seven copies of t - 1 multiply to t^7 - 1, whose derivative is 0.
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=t ** 7 - 1, unit=1, factors=((t - 1, 1),) * 7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_canonical_factor_lists(), st.booleans())
+    def test_accepts_exactly_the_pairwise_coprime_squarefree_lists(self, pairs, forms):
+        expected = _pairwise_coprime_and_squarefree([poly for poly, _ in pairs])
+        product = UniPoly.one(pairs[0][0].field)
+        for poly, mult in pairs:
+            product = product * poly ** mult
+        if forms:
+            product = homogenize(product)
+            pairs = [(homogenize(poly), mult) for poly, mult in pairs]
+        try:
+            FactorReport(input=product, unit=1, factors=tuple(pairs))
+            accepted = True
+        except ArithmeticError:
+            accepted = False
+        assert accepted == expected
 
     def test_degree_sum_over_prime_field(self):
         for i in (5, 7, 24):
