@@ -28,8 +28,13 @@ from .cohomology import (
     prime_witnesses,
     torsion_witness,
 )
-from .factor import accumulate_distinct, factor_tau, missing_prime_power_indices
-from .frobenius import CASE_AT_N_PLUS_1, witness_growth
+from .factor import (
+    accumulate_distinct,
+    accumulate_reports,
+    factor_tau,
+    missing_prime_power_indices,
+)
+from .frobenius import CASE_AT_N_PLUS_1, collapse
 from .matrices import build_a, build_b, certify_det_b, continuant
 
 MAX_INDEX = 200
@@ -59,36 +64,25 @@ class RunConfig:
     n_set: Optional[tuple] = None
 
 
-def parse_index_set(text: str) -> tuple:
-    """Parse a set expression: comma-separated integers and a..b ranges."""
+def parse_index_set(text: str, low: int, high: int) -> tuple:
+    """Parse a set expression: comma-separated integers and a..b ranges, each
+    within low..high, which is checked before a range is expanded."""
     items: list = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             raise UsageError(f"empty entry in set expression {text!r}")
-        if ".." in piece:
-            lo_text, _, hi_text = piece.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise UsageError(f"bad range {piece!r}") from None
-            if hi < lo:
-                raise UsageError(f"descending range {piece!r}")
-            items.extend(range(lo, hi + 1))
-        else:
-            try:
-                items.append(int(piece))
-            except ValueError:
-                raise UsageError(f"bad integer {piece!r}") from None
-    seen = set()
-    unique = []
-    for value in items:
-        if value not in seen:
-            seen.add(value)
-            unique.append(value)
-    if not unique:
-        raise UsageError("empty index set")
-    return tuple(unique)
+        lo_text, dots, hi_text = piece.partition("..")
+        try:
+            lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+        except ValueError:
+            raise UsageError(f"bad {'range' if dots else 'integer'} {piece!r}") from None
+        if hi < lo:
+            raise UsageError(f"descending range {piece!r}")
+        if lo < low or hi > high:
+            raise UsageError(f"set entry {piece!r} is outside {low}..{high}")
+        items.extend(range(lo, hi + 1))
+    return tuple(dict.fromkeys(items))
 
 
 def _parse_field(spec: str) -> Field:
@@ -145,20 +139,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"--max-i must be in 1..{MAX_INDEX}")
         kwargs["max_i"] = args.max_i
     elif args.command == "factors":
-        indices = parse_index_set(args.index_set)
-        if any(not 1 <= i <= MAX_INDEX for i in indices):
-            raise UsageError(f"indices must be in 1..{MAX_INDEX}")
-        kwargs["index_set"] = indices
+        kwargs["index_set"] = parse_index_set(args.index_set, 1, MAX_INDEX)
     elif args.command == "cohomology":
         if args.d_min < 2 or args.d_max > MAX_D or args.d_min > args.d_max:
             raise UsageError(f"need 2 <= d-min <= d-max <= {MAX_D}")
         kwargs["d_min"] = args.d_min
         kwargs["d_max"] = args.d_max
     elif args.command == "frobenius":
-        n_values = parse_index_set(args.n_set)
-        if any(not 6 <= n <= MAX_N for n in n_values):
-            raise UsageError(f"n values must be in 6..{MAX_N}")
-        kwargs["n_set"] = n_values
+        kwargs["n_set"] = parse_index_set(args.n_set, 6, MAX_N)
     return RunConfig(**kwargs)
 
 
@@ -173,6 +161,12 @@ def _envelope(config: RunConfig) -> dict:
 
 # ----------------------------------------------------------------------------
 # Command payloads.
+
+
+def _factors_json(report) -> dict:
+    return {"unit": str(report.unit),
+            "irreducible": [{"factor": str(p), "multiplicity": m}
+                            for p, m in report.factors]}
 
 
 def run_verify(config: RunConfig) -> tuple:
@@ -227,14 +221,13 @@ def run_cohomology(config: RunConfig) -> tuple:
     records = []
     all_pass = True
     for d in range(config.d_min, config.d_max + 1):
-        t_poly = tau(d - 1, field)
-        b = build_b(d - 1, field)
+        witness = torsion_witness(d, field)
+        b = witness.relations
         a = build_a(d - 1, field)
         component = component_dd(d, field)
         collapse_ok = component.relations == b
         bidegrees_ok = all(
             column_bidegree(a, j).as_pair() == (2, j + 1) for j in range(a.cols))
-        witness = torsion_witness(d, field)
         fiber_zero = b.substitute({"s": 0, "t": 0}).is_zero()
         report = factor_tau(d - 1, field, seed=config.seed)
         witnesses = prime_witnesses(d, report)
@@ -244,12 +237,8 @@ def run_cohomology(config: RunConfig) -> tuple:
         all_pass = all_pass and checks_ok
         records.append({
             "d": d,
-            "tau": str(t_poly),
-            "factors": {
-                "unit": str(report.unit),
-                "irreducible": [{"factor": str(p), "multiplicity": m}
-                                for p, m in report.factors],
-            },
+            "tau": str(witness.annihilator),
+            "factors": _factors_json(report),
             "torsion_certificate": {
                 "annihilator": str(witness.annihilator),
                 "solution": [str(e) for e in witness.solution],
@@ -277,36 +266,26 @@ def run_cohomology(config: RunConfig) -> tuple:
 
 
 def run_frobenius(config: RunConfig) -> tuple:
-    field = config.field
     records = []
-    all_pass = True
-    growth = witness_growth(config.n_set, field, seed=config.seed)
-    for n, report, new, cum in zip(growth.index_set, growth.per_index,
-                                   growth.new_distinct, growth.cumulative_distinct):
-        # witness_growth factored exactly det of the collapsed relations.
-        determinant = report.input
-        b = build_b(n - 2, field)
-        det_is_tau = determinant == tau(n - 2, field)
-        if det_is_tau:
-            certify_det_b(b)
-        all_pass = all_pass and det_is_tau
+    reports = []
+    for n in config.n_set:
+        relations, determinant, det_is_tau, report = collapse(n, config.field, config.seed)
+        reports.append(report)
         records.append({
             "n": n,
             "d": n + 1,
             "case": CASE_AT_N_PLUS_1,
-            "matrix": b.to_strings(),
+            "matrix": relations.to_strings(),
             "det": str(determinant),
             # component_t raises unless the relations at d = n + 1 equal B_(n-2).
             "collapse_matches_b": True,
             "det_equals_tau": det_is_tau,
-            "factors": {
-                "unit": str(report.unit),
-                "irreducible": [{"factor": str(p), "multiplicity": m}
-                                for p, m in report.factors],
-            },
-            "new_witnesses": new,
-            "cumulative_witnesses": cum,
+            "factors": _factors_json(report),
         })
+    growth = accumulate_reports(config.n_set, reports)
+    for record, new, cum in zip(records, growth.new_distinct, growth.cumulative_distinct):
+        record.update(new_witnesses=new, cumulative_witnesses=cum)
+    all_pass = all(r["det_equals_tau"] for r in records)
     payload = _envelope(config)
     payload.update({"n_set": list(config.n_set), "records": records,
                     "all_pass": all_pass})

@@ -275,14 +275,16 @@ def component_dd(d: int, field: Field) -> Presentation:
 
 @dataclass(frozen=True)
 class TorsionWitness:
-    """Certifies that the class of e_1 in the square cokernel is nonzero
-    torsion: the annihilator times e_1 is hit exactly, while e_1 itself is
-    certified outside the image."""
+    """Certifies that the class of e_1 in the cokernel of the square matrix
+    ``relations`` (B_(d-1)) is nonzero torsion: the annihilator tau_(d-1)
+    = det(relations) times e_1 is hit exactly, while e_1 itself is certified
+    outside the image."""
 
     d: int
     annihilator: MultiPoly
     solution: tuple
     nonmembership: MembershipCertificate
+    relations: PolyMatrix
 
     def __post_init__(self) -> None:
         if self.nonmembership.is_solution:
@@ -292,21 +294,24 @@ class TorsionWitness:
 def torsion_witness(d: int, field: Field) -> TorsionWitness:
     """Build and re-verify the torsion certificate for the degree -d piece.
 
-    With n = d - 1, certify_det_b proves det(B_n) = tau_n and returns
-    w = adj(B_n) e_1, whose entries are the Cramer numerators of e_1, so the
-    non-membership certificate for e_1 is read off w without an elimination.
+    With n = d - 1, B_n is built once; certify_det_b proves det(B_n) = tau_n
+    and returns w = adj(B_n) e_1, whose entries are the Cramer numerators of
+    e_1, so the non-membership certificate for e_1 is read off w without an
+    elimination.  The witness carries B_n as its ``relations``.
     """
     if d < 2:
         raise ValueError("torsion_witness requires d >= 2")
     n = d - 1
     annihilator = tau(n, field)
-    solution = certify_det_b(build_b(n, field))
+    b = build_b(n, field)
+    solution = certify_det_b(b)
     failed = next((i + 1 for i, numerator in enumerate(solution)
                    if exact_divide(numerator, annihilator) is None), None)
     if failed is None:
         raise ArithmeticError("e_1 unexpectedly lies in the image")
     return TorsionWitness(d=d, annihilator=annihilator, solution=tuple(solution),
-                          nonmembership=MembershipCertificate(failed_column=failed))
+                          nonmembership=MembershipCertificate(failed_column=failed),
+                          relations=b)
 
 
 @dataclass(frozen=True)

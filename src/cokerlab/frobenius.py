@@ -4,6 +4,7 @@ For 4 < d < n the degree-d component is presented by the tall relation
 matrix; at d = n the first and last generator rows drop, and at d = n + 1
 two rows drop at each end and the presentation collapses onto the square
 tridiagonal matrix, whose determinant drives the distinct-witness growth.
+collapse() takes that determinant and its certificate on the one matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 from .arith import Field, Monomial, MultiPoly, tau
 from .cohomology import Generator, Presentation
 from .factor import GrowthReport, accumulate_reports, factor_homogeneous_st, factor_tau
-from .matrices import build_b, build_m, continuant
+from .matrices import build_b, build_m, certify_det_b, continuant
 
 CASE_BELOW = "below"
 CASE_AT_N = "at_n"
@@ -54,10 +55,11 @@ class FrobeniusComponent:
 
 
 def _monomial_generators(d: int, j_range) -> tuple:
-    # Generator j is x^(j-1) * y^(d-j+1); the component grading lives on the
-    # component itself, so no bidegree is attached.
+    # Generator j is x^(j-1) * y^(d-j+1), labelling row j (1-based) of M_d;
+    # the component grading lives on the component itself, so no bidegree
+    # is attached.
     return tuple(
-        Generator(Monomial.from_dict({"x": j - 1, "y": d - j + 1}), 1, None)
+        Generator(Monomial.from_dict({"x": j - 1, "y": d - j + 1}), j, None)
         for j in j_range)
 
 
@@ -92,19 +94,28 @@ def component_t(n: int, d: int, field: Field) -> FrobeniusComponent:
                               presentation=Presentation(generators, relations))
 
 
+def collapse(n: int, field: Field, seed: Optional[int]) -> tuple:
+    """(relations, determinant, det_is_tau, report) at d = n + 1.
+
+    The determinant is the continuant of the collapsed relations.  When it
+    equals tau_(n-2), certify_det_b proves that on the same relations and
+    factor_tau's Rabin-proven splits factor it; any other determinant goes
+    to the generic engine.  Either way report.input equals the determinant.
+    """
+    relations = component_t(n, n + 1, field).presentation.relations
+    determinant = continuant(relations)
+    if determinant != tau(n - 2, field):
+        return relations, determinant, False, factor_homogeneous_st(determinant, seed=seed)
+    certify_det_b(relations)
+    return relations, determinant, True, factor_tau(n - 2, field, seed)
+
+
 def witness_growth(n_set: Sequence[int], field: Field,
                    seed: Optional[int] = None) -> GrowthReport:
     """Distinct irreducible factors of the collapsed determinants, accumulated
-    across the given n values in order.  A determinant equal to tau_(n-2)
-    takes factor_tau's Rabin-proven splits; any other the generic engine."""
+    across the given n values in order, from collapse()'s certified factor
+    report for each n."""
     values = list(n_set)
     if any(n < 6 for n in values):
         raise ValueError("witness_growth requires every n >= 6")
-    reports = []
-    for n in values:
-        component = component_t(n, n + 1, field)
-        determinant = continuant(component.presentation.relations)
-        certified = determinant == tau(n - 2, field)
-        reports.append(factor_tau(n - 2, field, seed) if certified
-                       else factor_homogeneous_st(determinant, seed=seed))
-    return accumulate_reports(values, reports)
+    return accumulate_reports(values, [collapse(n, field, seed)[3] for n in values])

@@ -1,7 +1,8 @@
 """Matrix builders and exact linear algebra over the polynomial ring.
 
-The builders produce the tridiagonal family A, its x=y=1 specialization
-Abar, the square truncation B, and the taller relation matrix M.  Tridiagonal
+The builders write the tridiagonal family A, the square tridiagonal B
+(A at x = y = 1 without its first and last columns) and the taller relation
+matrix M from one band of entries s, -(t+s), t.  Tridiagonal
 determinants come from the continuant (three-term) recurrence, and
 certify_det_b proves det(B_n) = tau_n independently of it, from the closed
 form of adj(B_n) e_1.  The generic determinant is fraction-free (Bareiss),
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Field, Monomial, MultiPoly, exact_divide, tau
+from .arith import Field, MultiPoly, exact_divide, tau
 
 
 class PolyMatrix:
@@ -113,18 +114,11 @@ class PolyMatrix:
 # Builders.
 
 
-def _entry_sx2(field: Field) -> MultiPoly:
-    return MultiPoly.term(field, 1, Monomial.from_dict({"s": 1, "x": 2}))
-
-
-def _entry_mxyts(field: Field) -> MultiPoly:
-    xy = Monomial.from_dict({"x": 1, "y": 1})
-    return MultiPoly(field, {xy * Monomial.variable("t"): field.minus_one,
-                             xy * Monomial.variable("s"): field.minus_one})
-
-
-def _entry_ty2(field: Field) -> MultiPoly:
-    return MultiPoly.term(field, 1, Monomial.from_dict({"t": 1, "y": 2}))
+def _band(field: Field) -> tuple:
+    # s, -(t+s), t: the band of B and M, and of A at x = y = 1.
+    s = MultiPoly.variable(field, "s")
+    t = MultiPoly.variable(field, "t")
+    return s, -(t + s), t
 
 
 def build_a(dminus1: int, field: Field) -> PolyMatrix:
@@ -133,26 +127,29 @@ def build_a(dminus1: int, field: Field) -> PolyMatrix:
     if dminus1 < 1:
         raise ValueError("build_a requires dminus1 >= 1")
     zero = MultiPoly.zero(field)
-    diag = [_entry_sx2(field), _entry_mxyts(field), _entry_ty2(field)]
+    x, y = MultiPoly.variable(field, "x"), MultiPoly.variable(field, "y")
+    diag = [e * m for e, m in zip(_band(field), (x * x, x * y, y * y))]
     out = []
     for i in range(dminus1):
         row = [zero] * (dminus1 + 2)
-        for k in range(3):
-            row[i + k] = diag[k]
+        row[i:i + 3] = diag
         out.append(row)
     return PolyMatrix(out)
 
 
-def build_abar(dminus1: int, field: Field) -> PolyMatrix:
-    """build_a with x and y specialized to 1; entries lie in k[s,t]."""
-    return build_a(dminus1, field).substitute({"x": 1, "y": 1})
-
-
 def build_b(i: int, field: Field) -> PolyMatrix:
-    """Square i x i truncation: build_abar(i) minus its first and last columns."""
+    """Square i x i tridiagonal matrix with s below the diagonal, -(t+s) on
+    it and t above it: build_a(i) at x = y = 1 without its first and last
+    columns."""
     if i < 1:
         raise ValueError("build_b requires i >= 1")
-    return build_abar(i, field).without_columns([0, i + 1])
+    band = _band(field)
+    zero = MultiPoly.zero(field)
+    out = [[zero] * i for _ in range(i)]
+    for r in range(i):
+        for c in range(max(r - 1, 0), min(r + 2, i)):
+            out[r][c] = band[c - r + 1]
+    return PolyMatrix(out)
 
 
 def build_m(d: int, field: Field) -> PolyMatrix:
@@ -161,10 +158,7 @@ def build_m(d: int, field: Field) -> PolyMatrix:
     if d <= 4:
         raise ValueError("build_m requires d > 4")
     zero = MultiPoly.zero(field)
-    t = MultiPoly.variable(field, "t")
-    s = MultiPoly.variable(field, "s")
-    mts = MultiPoly(field, {Monomial.variable("t"): field.minus_one,
-                            Monomial.variable("s"): field.minus_one})
+    s, mts, t = _band(field)
     out = [[zero] * (d - 3) for _ in range(d + 1)]
     for j in range(d - 3):
         out[j + 1][j] = t

@@ -19,6 +19,7 @@ from cokerlab.cli import (
     main,
     parse_index_set,
 )
+from cokerlab.cohomology import Presentation
 from cokerlab.matrices import PolyMatrix
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -28,18 +29,36 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cokerlab.__file__).parents[1])
 
 class TestIndexSetParsing:
     def test_range(self):
-        assert parse_index_set("1..5") == (1, 2, 3, 4, 5)
+        assert parse_index_set("1..5", 1, 200) == (1, 2, 3, 4, 5)
 
     def test_list(self):
-        assert parse_index_set("1,7,25") == (1, 7, 25)
+        assert parse_index_set("1,7,25", 1, 200) == (1, 7, 25)
 
     def test_mixed_preserves_order_and_dedupes(self):
-        assert parse_index_set("3..5, 1, 4") == (3, 4, 5, 1)
+        assert parse_index_set("3..5, 1, 4", 1, 200) == (3, 4, 5, 1)
 
     def test_rejects_garbage(self):
         for bad in ["", "a", "3..", "5..3", "1,,2"]:
             with pytest.raises(UsageError):
-                parse_index_set(bad)
+                parse_index_set(bad, 1, 200)
+
+    def test_rejects_entries_outside_the_bounds(self):
+        for bad in ["0", "201", "0..5", "190..201", f"3,1..{10 ** 20}"]:
+            with pytest.raises(UsageError):
+                parse_index_set(bad, 1, 200)
+        assert parse_index_set("6..100", 6, 100) == tuple(range(6, 101))
+        with pytest.raises(UsageError):
+            parse_index_set("5..8", 6, 100)
+
+    @pytest.mark.parametrize("argv", [["factors", "--set"], ["frobenius", "--n-set"]],
+                             ids=["factors", "frobenius"])
+    def test_huge_range_is_rejected_before_it_is_expanded(self, capsys, argv):
+        # Expanding this range would exhaust memory or overflow range().
+        assert main([*argv, f"6..{10 ** 20}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: set entry '6..")
 
 
 class TestExitCodes:
@@ -282,6 +301,21 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _count_bindings(monkeypatch, name) -> list:
+    # Count the calls of a matrices function through every module binding it.
+    calls = []
+    original = getattr(matrices, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, cohomology, frobenius, matrices):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestComputedOnce:
     def test_one_factorization_per_d_and_one_determinant_per_n(self, monkeypatch, capsys):
         # The runners call factor_tau through the cli binding, and
@@ -306,6 +340,37 @@ class TestComputedOnce:
         assert main(["verify-lemma1", "--max-i", "6"]) == EXIT_OK
         assert eliminations == []
         assert len(determinants) == 6
+
+    @pytest.mark.parametrize("argv, b_sizes, constructions", [
+        (["verify-lemma1", "--max-i", "6"], [1, 2, 3, 4, 5, 6], 1),
+        (["cohomology", "--d-min", "2", "--d-max", "6"], [1, 2, 3, 4, 5], 5),
+        (["frobenius", "--n-set", "6..9"], [4, 5, 6, 7], 3),
+    ], ids=["verify-lemma1", "cohomology", "frobenius"])
+    def test_one_b_and_one_certificate_per_index(self, monkeypatch, capsys, argv,
+                                                 b_sizes, constructions):
+        builds = _count_bindings(monkeypatch, "build_b")
+        certificates = _count_bindings(monkeypatch, "certify_det_b")
+        determinants = _count_bindings(monkeypatch, "continuant")
+        substitutions = _count_calls(monkeypatch, PolyMatrix, "substitute")
+        matrices_made = _count_calls(monkeypatch, PolyMatrix, "__init__")
+        assert main(argv) == EXIT_OK
+        assert [args[0] for args in builds] == b_sizes
+        assert [args[0].rows for args in certificates] == b_sizes
+        assert len(matrices_made) <= constructions * len(b_sizes)
+        if argv[0] == "cohomology":
+            # Only the fiber at s = t = 0 substitutes; no determinant is taken.
+            assert len(substitutions) == len(b_sizes)
+            assert determinants == []
+            return
+        assert substitutions == []
+        # The determinant is certified on the matrix it was taken of.
+        assert len(determinants) == len(b_sizes)
+        assert all(d[0] is c[0] for d, c in zip(determinants, certificates))
+        if argv[0] == "frobenius":
+            # ... and that matrix is the one the report prints.
+            records = json.loads(capsys.readouterr().out)["records"]
+            assert [r["matrix"] for r in records] \
+                == [c[0].to_strings() for c in certificates]
 
     def test_each_cyclotomic_split_once_per_process(self, monkeypatch, capsys):
         f7 = Field.prime(7)
@@ -354,6 +419,29 @@ class TestComputedOnce:
         assert 0 < len(report_gcds) <= 40
 
 
+def _transposed(b):
+    return PolyMatrix([b.column(j) for j in range(b.cols)])
+
+
+def _transpose_cli_b(monkeypatch):
+    build_b = cli.build_b
+    monkeypatch.setattr(cli, "build_b", lambda i, field: _transposed(build_b(i, field)))
+
+
+def _transpose_collapsed_relations(monkeypatch):
+    # The frobenius step certifies the relations component_t returns.
+    component_t = frobenius.component_t
+
+    def transposed(n, d, field):
+        component = component_t(n, d, field)
+        presentation = component.presentation
+        return frobenius.FrobeniusComponent(
+            n, d, component.case,
+            Presentation(presentation.generators, _transposed(presentation.relations)))
+
+    monkeypatch.setattr(frobenius, "component_t", transposed)
+
+
 class TestCertificateFailure:
     def test_wrong_b_exits_1_without_traceback(self, monkeypatch, capsys):
         build_b = cohomology.build_b
@@ -389,18 +477,14 @@ class TestCertificateFailure:
         assert [r["identity"] for r in payload["results"]] == [False, False, False]
         assert payload["all_pass"] is False
 
-    @pytest.mark.parametrize("argv", [["verify-lemma1", "--max-i", "4"],
-                                      ["frobenius", "--n-set", "6"]],
-                             ids=["verify-lemma1", "frobenius"])
-    def test_transposed_b_fails_the_certificate(self, monkeypatch, capsys, argv):
+    @pytest.mark.parametrize("argv, transpose", [
+        (["verify-lemma1", "--max-i", "4"], _transpose_cli_b),
+        (["frobenius", "--n-set", "6"], _transpose_collapsed_relations),
+    ], ids=["verify-lemma1", "frobenius"])
+    def test_transposed_b_fails_the_certificate(self, monkeypatch, capsys, argv,
+                                                transpose):
         # det(B^T) = det(B) = tau, so only the certificate can reject B^T.
-        build_b = cli.build_b
-
-        def transposed(i, field):
-            b = build_b(i, field)
-            return PolyMatrix([b.column(j) for j in range(i)])
-
-        monkeypatch.setattr(cli, "build_b", transposed)
+        transpose(monkeypatch)
         assert main(argv) == EXIT_CHECK_FAILED
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -176,6 +176,7 @@ class TestTorsionWitness:
         for field in (Q, F2, F7):
             w = torsion_witness(d, field)
             b = build_b(d - 1, field)
+            assert w.relations == b
             achieved = b.mul_vector(list(w.solution))
             expected = [tau(d - 1, field)] + [MultiPoly.zero(field)] * (d - 2)
             assert achieved == expected

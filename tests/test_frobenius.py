@@ -46,6 +46,8 @@ class TestComponent:
         assert len(gens) == 7
         assert gens[0].monomial == Monomial.from_dict({"y": 6})
         assert gens[-1].monomial == Monomial.from_dict({"x": 6})
+        # Generator j labels row j (1-based) of M_d.
+        assert [g.index for g in gens] == list(range(1, 8))
 
     def test_at_n_plus_one_collapses(self):
         comp = component_t(8, 9, Q)
@@ -55,6 +57,8 @@ class TestComponent:
         assert len(gens) == 6
         assert gens[0].monomial == Monomial.from_dict({"x": 2, "y": 7})
         assert gens[-1].monomial == Monomial.from_dict({"x": 7, "y": 2})
+        # Rows 1, 2, d and d + 1 of M_d are deleted.
+        assert [g.index for g in gens] == list(range(3, 9))
 
     def test_at_n_case_shape(self):
         comp = component_t(8, 8, Q)
@@ -65,6 +69,8 @@ class TestComponent:
         gens = comp.presentation.generators
         assert gens[0].monomial == Monomial.from_dict({"x": 1, "y": 7})
         assert gens[-1].monomial == Monomial.from_dict({"x": 7, "y": 1})
+        # Rows 1 and d + 1 of M_d are deleted.
+        assert [g.index for g in gens] == list(range(2, 9))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from cokerlab.matrices import (
     PolyMatrix,
     adjugate_column,
     build_a,
-    build_abar,
     build_b,
     build_m,
     continuant,
@@ -20,7 +19,9 @@ from cokerlab.matrices import (
 
 Q = Field.rationals()
 F2 = Field.prime(2)
+F3 = Field.prime(3)
 F5 = Field.prime(5)
+F101 = Field.prime(101)
 
 
 def qp(text):
@@ -47,28 +48,37 @@ class TestBuilders:
             build_a(0, Q)
 
     def test_abar_first_row(self):
-        assert build_abar(1, Q) == qmat([["s", "-t-s", "t"]])
+        assert build_a(1, Q).substitute({"x": 1, "y": 1}) == qmat([["s", "-t-s", "t"]])
 
     def test_abar_second_row(self):
-        assert list(build_abar(2, Q).row(1)) == [qp("0"), qp("s"), qp("-t-s"), qp("t")]
+        abar = build_a(2, Q).substitute({"x": 1, "y": 1})
+        assert list(abar.row(1)) == [qp("0"), qp("s"), qp("-t-s"), qp("t")]
 
     def test_abar_is_specialized_a(self):
-        assert build_a(3, Q).substitute({"x": 1, "y": 1}) == build_abar(3, Q)
+        # Abar is A with x = y = 1: every entry of A is its band entry in
+        # s, t times x^2, x*y or y^2.
+        assert build_a(3, Q).substitute({"x": 1, "y": 1}) == qmat([
+            ["s", "-t-s", "t", "0", "0"],
+            ["0", "s", "-t-s", "t", "0"],
+            ["0", "0", "s", "-t-s", "t"],
+        ])
 
     def test_b_small(self):
         assert build_b(1, Q) == qmat([["-t-s"]])
         assert build_b(2, Q) == qmat([["-t-s", "t"], ["s", "-t-s"]])
-
-    def test_b3_by_column_deletion(self):
-        # Oracle: apply the deletion rule to Abar directly.
-        abar = build_abar(3, Q)
-        deleted = abar.without_columns([0, 4])
-        assert build_b(3, Q) == deleted
-        assert deleted == qmat([
+        assert build_b(3, Q) == qmat([
             ["-t-s", "t", "0"],
             ["s", "-t-s", "t"],
             ["0", "s", "-t-s"],
         ])
+
+    @pytest.mark.parametrize("field", [Q, F2, F3, F101], ids=["q", "fp2", "fp3", "fp101"])
+    @pytest.mark.parametrize("i", range(1, 31))
+    def test_b_by_column_deletion(self, i, field):
+        # Oracle: B is written from its band; the paper's rule deletes the
+        # first and last columns of Abar = A at x = y = 1.
+        abar = build_a(i, field).substitute({"x": 1, "y": 1})
+        assert build_b(i, field) == abar.without_columns([0, i + 1])
 
     def test_m_first_column(self):
         m = build_m(5, Q)
@@ -177,7 +187,7 @@ class TestContinuant:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            continuant(build_abar(2, Q))
+            continuant(build_a(2, Q).substitute({"x": 1, "y": 1}))
 
     def test_entry_outside_the_band_rejected(self):
         with pytest.raises(ValueError):
