@@ -2,8 +2,8 @@
 
 Coefficients live in the rationals or in a prime field F_p.  Multivariate
 polynomials are sparse maps from monomials in x, y, u, v, s, t to nonzero
-scalars; univariate polynomials are dense coefficient lists and feed the
-factorization routines.  All values are immutable after construction and
+scalars; univariate polynomials are dense coefficient lists in t and feed
+the factorization routines.  All values are immutable after construction and
 every operation is pure.
 """
 
@@ -121,9 +121,6 @@ class Field:
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.p is None else (a - b) % self.p
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return a * b if self.p is None else (a * b) % self.p
@@ -401,17 +398,7 @@ class MultiPoly:
         return MultiPoly(f, {m: f.mul(c0, c) for m, c0 in self._terms.items()})
 
     def __pow__(self, n: int) -> MultiPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.one(self.field)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, n, MultiPoly.one(self.field))
 
     def substitute(self, values: Mapping[str, Union[int, Fraction]]) -> MultiPoly:
         """Specialize some variables to scalar values."""
@@ -475,6 +462,19 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self} over {self.field.spec})"
+
+
+def _power(base, n: int, one):
+    """base ** n by repeated squaring, from the ring's one."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
 
 
 def _is_canonical_scalar(field: Field, value) -> bool:
@@ -544,7 +544,7 @@ def sigma(i: int, field: Field) -> UniPoly:
     """t^i + t^(i-1) + ... + t + 1, defined for i >= 1."""
     if i < 1:
         raise ValueError("sigma(i) requires i >= 1")
-    return UniPoly(field, "t", [1] * (i + 1))
+    return UniPoly(field, [1] * (i + 1))
 
 
 # ----------------------------------------------------------------------------
@@ -552,36 +552,33 @@ def sigma(i: int, field: Field) -> UniPoly:
 
 
 class UniPoly:
-    """Dense univariate polynomial; coefficients ascend from the constant."""
+    """Dense polynomial in t; coefficients ascend from the constant."""
 
-    __slots__ = ("field", "var", "coeffs")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, var: str, coeffs):
-        if var not in _VAR_POS:
-            raise ValueError(f"unknown variable {var!r}")
+    def __init__(self, field: Field, coeffs):
         cleaned = [field.coerce(c) if not _is_canonical_scalar(field, c) else c
                    for c in coeffs]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self.field = field
-        self.var = var
         self.coeffs = tuple(cleaned)
 
     @classmethod
-    def zero(cls, field: Field, var: str = "t") -> UniPoly:
-        return cls(field, var, [])
+    def zero(cls, field: Field) -> UniPoly:
+        return cls(field, [])
 
     @classmethod
-    def one(cls, field: Field, var: str = "t") -> UniPoly:
-        return cls(field, var, [1])
+    def one(cls, field: Field) -> UniPoly:
+        return cls(field, [1])
 
     @classmethod
-    def constant(cls, field: Field, value, var: str = "t") -> UniPoly:
-        return cls(field, var, [value])
+    def constant(cls, field: Field, value) -> UniPoly:
+        return cls(field, [value])
 
     @classmethod
-    def gen(cls, field: Field, var: str = "t") -> UniPoly:
-        return cls(field, var, [0, 1])
+    def gen(cls, field: Field) -> UniPoly:
+        return cls(field, [0, 1])
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -605,12 +602,10 @@ class UniPoly:
 
     def _check(self, other: UniPoly) -> None:
         _require_same_field(self.field, other.field)
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
 
     def _coerce_operand(self, other):
         if isinstance(other, (int, Fraction)):
-            return UniPoly.constant(self.field, other, self.var)
+            return UniPoly.constant(self.field, other)
         if isinstance(other, UniPoly):
             self._check(other)
             return other
@@ -622,8 +617,7 @@ class UniPoly:
             return NotImplemented
         f = self.field
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(f, self.var,
-                       [f.add(self.coefficient(k), other.coefficient(k)) for k in range(n)])
+        return UniPoly(f, [f.add(self.coefficient(k), other.coefficient(k)) for k in range(n)])
 
     __radd__ = __add__
 
@@ -633,15 +627,9 @@ class UniPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self) -> UniPoly:
         f = self.field
-        return UniPoly(f, self.var, [f.neg(c) for c in self.coeffs])
+        return UniPoly(f, [f.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -651,7 +639,7 @@ class UniPoly:
         self._check(other)
         f = self.field
         if self.is_zero() or other.is_zero():
-            return UniPoly.zero(f, self.var)
+            return UniPoly.zero(f)
         # Accumulate exact products and bring each sum into the field once.
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -659,7 +647,7 @@ class UniPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return UniPoly(f, self.var, out)
+        return UniPoly(f, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -669,20 +657,10 @@ class UniPoly:
     def scale(self, value) -> UniPoly:
         f = self.field
         c = f.coerce(value)
-        return UniPoly(f, self.var, [f.mul(a, c) for a in self.coeffs])
+        return UniPoly(f, [f.mul(a, c) for a in self.coeffs])
 
     def __pow__(self, n: int) -> UniPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.one(self.field, self.var)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, n, UniPoly.one(self.field))
 
     def __divmod__(self, other: UniPoly):
         self._check(other)
@@ -705,10 +683,7 @@ class UniPoly:
             quot[k] = c
             for j, b in enumerate(lower):
                 rem[k + j] -= c * b
-        return (UniPoly(f, self.var, quot), UniPoly(f, self.var, rem))
-
-    def __floordiv__(self, other: UniPoly) -> UniPoly:
-        return divmod(self, other)[0]
+        return (UniPoly(f, quot), UniPoly(f, rem))
 
     def __mod__(self, other: UniPoly) -> UniPoly:
         return divmod(self, other)[1]
@@ -727,8 +702,7 @@ class UniPoly:
     def derivative(self) -> UniPoly:
         """Formal derivative, with coefficient arithmetic in the field."""
         f = self.field
-        return UniPoly(f, self.var,
-                       [f.mul(f.coerce(k), c) for k, c in enumerate(self.coeffs)][1:])
+        return UniPoly(f, [f.mul(f.coerce(k), c) for k, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, value) -> Scalar:
         f = self.field
@@ -742,7 +716,7 @@ class UniPoly:
         terms = {}
         for k, c in enumerate(self.coeffs):
             if c != 0:
-                terms[Monomial.variable(self.var, k) if k else Monomial.one()] = c
+                terms[Monomial.variable("t", k) if k else Monomial.one()] = c
         return MultiPoly(self.field, terms)
 
     def sort_key(self) -> tuple:
@@ -751,11 +725,10 @@ class UniPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return (self.field == other.field and self.var == other.var
-                and self.coeffs == other.coeffs)
+        return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.field, self.var, self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def __str__(self) -> str:
         return str(self.to_multipoly())
@@ -774,33 +747,31 @@ def gcd_univariate(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def homogenize(f: UniPoly, aux: str = "s") -> MultiPoly:
+def homogenize(f: UniPoly) -> MultiPoly:
     """s^deg(f) * f(t/s), spreading each coefficient onto t^j * s^(deg-j)."""
     if f.is_zero():
         raise ValueError("cannot homogenize the zero polynomial")
-    if aux == f.var:
-        raise ValueError("auxiliary variable must differ from the main one")
     d = f.degree()
     terms = {}
     for j, c in enumerate(f.coeffs):
         if c != 0:
-            terms[Monomial.from_dict({f.var: j, aux: d - j})] = c
+            terms[Monomial.from_dict({"t": j, "s": d - j})] = c
     return MultiPoly(f.field, terms)
 
 
-def dehomogenize(g: MultiPoly, var: str = "t", aux: str = "s") -> UniPoly:
-    """Specialize aux to 1; g must be homogeneous in {var, aux} alone."""
+def dehomogenize(g: MultiPoly) -> UniPoly:
+    """Specialize s to 1; g must be homogeneous in {t, s} alone."""
     if g.is_zero():
-        return UniPoly.zero(g.field, var)
-    if not g.variables() <= {var, aux}:
-        raise ValueError(f"polynomial involves variables outside {{{var},{aux}}}")
+        return UniPoly.zero(g.field)
+    if not g.variables() <= {"t", "s"}:
+        raise ValueError("polynomial involves variables outside {t,s}")
     if not g.is_homogeneous():
         raise ValueError("polynomial is not homogeneous")
     d = g.degree()
     coeffs = [g.field.zero] * (d + 1)
     for mono, c in g.items():
-        coeffs[mono.exponent(var)] = c
-    return UniPoly(g.field, var, coeffs)
+        coeffs[mono.exponent("t")] = c
+    return UniPoly(g.field, coeffs)
 
 
 # ----------------------------------------------------------------------------

@@ -17,13 +17,7 @@ from typing import Optional
 
 from .arith import Field, Monomial, MultiPoly, exact_divide, tau
 from .factor import FactorReport
-from .matrices import (
-    MembershipCertificate,
-    PolyMatrix,
-    build_a,
-    build_b,
-    certify_det_b,
-)
+from .matrices import PolyMatrix, build_b, certify_det_b
 
 _R0_VARIABLES = {"x", "y", "s", "t"}
 
@@ -238,16 +232,18 @@ class Presentation:
             raise ValueError("component generators must share one bidegree")
 
 
-def component_dd(d: int, field: Field) -> Presentation:
-    """The bidegree-(d,d) component of the cokernel of the tridiagonal map.
+def component_dd(a: PolyMatrix) -> Presentation:
+    """The bidegree-(d,d) component of the cokernel of the tridiagonal map
+    a = A_(d-1), a (d-1) x (d+1) matrix.
 
     Generators are x^j * y^(d-j) in slots j = 1..d-1; the relations are the
     middle columns of the rectangular matrix scaled into bidegree (d,d) with
     the x,y content stripped, leaving a square matrix over k[s,t].
     """
-    if d < 2:
-        raise ValueError("component_dd requires d >= 2")
-    a = build_a(d - 1, field)
+    d = a.rows + 1
+    if a.cols != d + 1:
+        raise ValueError("component_dd requires A_(d-1), a (d-1) x (d+1) matrix")
+    field = a.field
     generators = tuple(
         Generator(Monomial.from_dict({"x": j, "y": d - j}), j, Bidegree(d, d))
         for j in range(1, d))
@@ -283,12 +279,8 @@ class TorsionWitness:
     d: int
     annihilator: MultiPoly
     solution: tuple
-    nonmembership: MembershipCertificate
+    failed_column: int
     relations: PolyMatrix
-
-    def __post_init__(self) -> None:
-        if self.nonmembership.is_solution:
-            raise ValueError("nonmembership certificate must be a NoSolution outcome")
 
 
 def torsion_witness(d: int, field: Field) -> TorsionWitness:
@@ -296,8 +288,9 @@ def torsion_witness(d: int, field: Field) -> TorsionWitness:
 
     With n = d - 1, B_n is built once; certify_det_b proves det(B_n) = tau_n
     and returns w = adj(B_n) e_1, whose entries are the Cramer numerators of
-    e_1, so the non-membership certificate for e_1 is read off w without an
-    elimination.  The witness carries B_n as its ``relations``.
+    e_1, so the non-membership certificate for e_1, the first column whose
+    numerator tau_n does not divide, is read off w without an elimination.
+    The witness carries B_n as its ``relations``.
     """
     if d < 2:
         raise ValueError("torsion_witness requires d >= 2")
@@ -310,8 +303,7 @@ def torsion_witness(d: int, field: Field) -> TorsionWitness:
     if failed is None:
         raise ArithmeticError("e_1 unexpectedly lies in the image")
     return TorsionWitness(d=d, annihilator=annihilator, solution=tuple(solution),
-                          nonmembership=MembershipCertificate(failed_column=failed),
-                          relations=b)
+                          failed_column=failed, relations=b)
 
 
 @dataclass(frozen=True)

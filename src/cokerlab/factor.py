@@ -59,8 +59,8 @@ class FactorReport:
     def __post_init__(self) -> None:
         homogeneous = isinstance(self.input, MultiPoly)
         target = dehomogenize(self.input) if homogeneous else self.input
-        product = UniPoly.constant(target.field, self.unit, target.var)
-        distinct = UniPoly.one(target.field, target.var)
+        product = UniPoly.constant(target.field, self.unit)
+        distinct = UniPoly.one(target.field)
         degree = s_divisible = 0
         for poly, mult in self.factors:
             if mult < 1:
@@ -97,7 +97,7 @@ def _is_squarefree(f: UniPoly) -> bool:
     proves f squarefree, and any other modular result is settled over Q."""
     if (f.field.is_rationals and all(isinstance(c, int) for c in f.coeffs)
             and f.lc % _CHECK_FIELD.p):
-        reduced = UniPoly(_CHECK_FIELD, f.var, f.coeffs)
+        reduced = UniPoly(_CHECK_FIELD, f.coeffs)
         if gcd_univariate(reduced, reduced.derivative()).is_one():
             return True
     return gcd_univariate(f, f.derivative()).is_one()
@@ -193,7 +193,7 @@ def cyclotomic(n: int) -> UniPoly:
             rem[k - d] += rem[k]
         if any(rem[:d]):
             raise ArithmeticError(f"t^{d} - 1 does not divide the product for Phi_{n}")
-    return UniPoly(_Q, "t", coeffs)
+    return UniPoly(_Q, coeffs)
 
 
 def _prime_divisors(n: int) -> list:
@@ -219,14 +219,6 @@ def totient(n: int) -> int:
     for q in _prime_divisors(n):
         result -= result // q
     return result
-
-
-def factor_sigma_rational(i: int) -> FactorReport:
-    """sigma_i over Q is the product of the cyclotomics at divisors > 1 of i+1."""
-    if i < 1:
-        raise ValueError("factor_sigma_rational requires i >= 1")
-    factors = tuple((cyclotomic(m), 1) for m in _divisors_above_one(i + 1))
-    return FactorReport(input=sigma(i, _Q), unit=1, factors=factors)
 
 
 def _divisors_above_one(n: int) -> list:
@@ -265,7 +257,7 @@ def _cyclotomic_trial_division(w: UniPoly) -> list:
 
 
 def _pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
-    result = UniPoly.one(base.field, base.var)
+    result = UniPoly.one(base.field)
     acc = base % mod
     while e:
         if e & 1:
@@ -279,7 +271,7 @@ def _pth_root(f: UniPoly) -> UniPoly:
     # Valid when f' = 0, i.e. only exponents divisible by p occur; over a
     # prime field the coefficients are their own p-th roots.
     p = f.field.p
-    return UniPoly(f.field, f.var, list(f.coeffs[::p]))
+    return UniPoly(f.field, f.coeffs[::p])
 
 
 def _squarefree_parts(f: UniPoly) -> list:
@@ -311,7 +303,7 @@ def _squarefree_parts(f: UniPoly) -> list:
 def _distinct_degree(f: UniPoly) -> list:
     """Split a monic squarefree f into (product of degree-k irreducibles, k)."""
     p = f.field.p
-    x = UniPoly.gen(f.field, f.var)
+    x = UniPoly.gen(f.field)
     result = []
     g = f
     h = x % g
@@ -329,10 +321,10 @@ def _distinct_degree(f: UniPoly) -> list:
     return result
 
 
-def _random_poly(rng: random.Random, field: Field, var: str, degree: int) -> UniPoly:
+def _random_poly(rng: random.Random, field: Field, degree: int) -> UniPoly:
     while True:
         coeffs = [rng.randrange(field.p) for _ in range(degree + 1)]
-        poly = UniPoly(field, var, coeffs)
+        poly = UniPoly(field, coeffs)
         if poly.degree() >= 1:
             return poly
 
@@ -342,8 +334,8 @@ def _frobenius_matrix(f: UniPoly) -> list:
     j < deg f, built from x^p mod f by repeated multiplication.  When
     p < deg f, x^p is a single term and each row costs one shift and one
     reduction."""
-    xp = _pow_mod(UniPoly.gen(f.field, f.var), f.field.p, f)
-    rows = [UniPoly.one(f.field, f.var)]
+    xp = _pow_mod(UniPoly.gen(f.field), f.field.p, f)
+    rows = [UniPoly.one(f.field)]
     for _ in range(1, f.degree()):
         rows.append((xp * rows[-1]) % f)
     return rows
@@ -358,7 +350,7 @@ def _frobenius(h: UniPoly, rows: list) -> UniPoly:
         if c:
             for j, a in enumerate(row.coeffs):
                 out[j] += c * a
-    return UniPoly(h.field, h.var, [v % p for v in out])
+    return UniPoly(h.field, [v % p for v in out])
 
 
 def _conjugate_fold(r: UniPoly, k: int, rows: list, combine) -> UniPoly:
@@ -397,7 +389,7 @@ def _equal_degree(f: UniPoly, k: int, rng: random.Random,
     else:
         rows = [row % f for row in frobenius[:n]]
     for _ in range(_EDF_MAX_TRIES):
-        r = _random_poly(rng, f.field, f.var, n - 1)
+        r = _random_poly(rng, f.field, n - 1)
         g = gcd_univariate(f, r)
         if g.degree() == 0:
             if p == 2:
@@ -419,7 +411,7 @@ def _is_irreducible(g: UniPoly) -> bool:
     built here from g's own x^p mod g, so a split never certifies itself."""
     k = g.degree()
     rows = _frobenius_matrix(g)
-    x = UniPoly.gen(g.field, g.var) % g
+    x = UniPoly.gen(g.field) % g
     powers = [x]  # x^(p^j) mod g
     for _ in range(k):
         powers.append(_frobenius(powers[-1], rows))
@@ -515,7 +507,7 @@ def _factor_sigma_mod_p(i: int, field: Field, seed: Optional[int]) -> list:
         q *= p
     pairs = []
     if q > 1:
-        pairs.append((UniPoly(field, "t", [-1, 1]), q - 1))
+        pairs.append((UniPoly(field, [-1, 1]), q - 1))
     for m in _divisors_above_one(n):
         pairs.extend((poly, q) for poly in _split_cyclotomic(m, field, seed))
     return pairs
@@ -531,7 +523,7 @@ def _split_cyclotomic(m: int, field: Field, seed: Optional[int]) -> tuple:
     while power != 1:
         power = power * p % m
         k += 1
-    phi = UniPoly(field, "t", cyclotomic(m).coeffs)
+    phi = UniPoly(field, cyclotomic(m).coeffs)
     factors = _equal_degree(phi, k, random.Random(f"{seed}:{m}"))
     for poly in factors:
         if not _is_irreducible(poly):

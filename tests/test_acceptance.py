@@ -81,8 +81,8 @@ def test_criterion_03_matrix_extraction():
 
 def test_criterion_04_bigraded_collapse():
     for d in range(2, 16):
-        assert component_dd(d, Q).relations == build_b(d - 1, Q)
         a = build_a(d - 1, Q)
+        assert component_dd(a).relations == build_b(d - 1, Q)
         for j in range(a.cols):
             assert column_bidegree(a, j).as_pair() == (2, j + 1)
     _report(4, "component relations equal B_(d-1) and columns are bigraded, d = 2..15")

@@ -343,12 +343,13 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("argv, b_sizes, constructions", [
         (["verify-lemma1", "--max-i", "6"], [1, 2, 3, 4, 5, 6], 1),
-        (["cohomology", "--d-min", "2", "--d-max", "6"], [1, 2, 3, 4, 5], 5),
+        (["cohomology", "--d-min", "2", "--d-max", "6"], [1, 2, 3, 4, 5], 4),
         (["frobenius", "--n-set", "6..9"], [4, 5, 6, 7], 3),
     ], ids=["verify-lemma1", "cohomology", "frobenius"])
     def test_one_b_and_one_certificate_per_index(self, monkeypatch, capsys, argv,
                                                  b_sizes, constructions):
         builds = _count_bindings(monkeypatch, "build_b")
+        a_builds = _count_bindings(monkeypatch, "build_a")
         certificates = _count_bindings(monkeypatch, "certify_det_b")
         determinants = _count_bindings(monkeypatch, "continuant")
         substitutions = _count_calls(monkeypatch, PolyMatrix, "substitute")
@@ -358,11 +359,13 @@ class TestComputedOnce:
         assert [args[0].rows for args in certificates] == b_sizes
         assert len(matrices_made) <= constructions * len(b_sizes)
         if argv[0] == "cohomology":
+            # A_(d-1) is built once, for the column bidegrees and component_dd.
+            assert [args[0] for args in a_builds] == b_sizes
             # Only the fiber at s = t = 0 substitutes; no determinant is taken.
             assert len(substitutions) == len(b_sizes)
             assert determinants == []
             return
-        assert substitutions == []
+        assert a_builds == substitutions == []
         # The determinant is certified on the matrix it was taken of.
         assert len(determinants) == len(b_sizes)
         assert all(d[0] is c[0] for d, c in zip(determinants, certificates))
@@ -374,7 +377,7 @@ class TestComputedOnce:
 
     def test_each_cyclotomic_split_once_per_process(self, monkeypatch, capsys):
         f7 = Field.prime(7)
-        cyclotomics = {UniPoly(f7, "t", factor.cyclotomic(m).coeffs)
+        cyclotomics = {UniPoly(f7, factor.cyclotomic(m).coeffs)
                        for m in range(2, 32) if m % 7}
         factor._split_cyclotomic.cache_clear()
         blocks = _count_calls(monkeypatch, factor, "_equal_degree")
@@ -507,3 +510,15 @@ class TestConsoleScript:
             capture_output=True, text=True, timeout=60, env=CHILD_ENV)
         assert result.returncode == 0
         assert "cokerlab" in result.stdout
+
+
+class TestPackageExports:
+    def test_every_export_resolves(self):
+        missing = [name for name in cokerlab.__all__ if not hasattr(cokerlab, name)]
+        assert missing == []
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from cokerlab import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(cokerlab.__all__)

@@ -133,15 +133,15 @@ class TestBidegree:
 
 class TestComponent:
     def test_relations_collapse_small(self):
-        assert component_dd(3, Q).relations == build_b(2, Q)
-        assert component_dd(2, Q).relations.to_strings() == [["-t-s"]]
+        assert component_dd(build_a(2, Q)).relations == build_b(2, Q)
+        assert component_dd(build_a(1, Q)).relations.to_strings() == [["-t-s"]]
 
     @pytest.mark.parametrize("d", range(2, 16))
     def test_relations_collapse(self, d):
-        assert component_dd(d, Q).relations == build_b(d - 1, Q)
+        assert component_dd(build_a(d - 1, Q)).relations == build_b(d - 1, Q)
 
     def test_generators(self):
-        pres = component_dd(5, Q)
+        pres = component_dd(build_a(4, Q))
         assert len(pres.generators) == 4
         for j, gen in enumerate(pres.generators, start=1):
             assert gen.index == j
@@ -149,14 +149,16 @@ class TestComponent:
             assert gen.bidegree == Bidegree(5, 5)
 
     def test_relations_live_in_st(self):
-        pres = component_dd(6, Q)
+        pres = component_dd(build_a(5, Q))
         for i in range(pres.relations.rows):
             for j in range(pres.relations.cols):
                 assert pres.relations[i, j].variables() <= {"s", "t"}
 
-    def test_rejects_small_d(self):
-        with pytest.raises(ValueError):
-            component_dd(1, Q)
+    def test_rejects_wrong_shape(self):
+        # component_dd presents A_(d-1), which is (d-1) x (d+1).
+        for m in (build_b(3, Q), build_a(3, Q).without_columns([0])):
+            with pytest.raises(ValueError):
+                component_dd(m)
 
 
 class TestTorsionWitness:
@@ -164,7 +166,7 @@ class TestTorsionWitness:
         w = torsion_witness(2, Q)
         assert w.annihilator == qp("-t-s")
         assert list(w.solution) == [qp("1")]
-        assert not w.nonmembership.is_solution
+        assert w.failed_column == 1
 
     def test_d3_solution_is_adjugate_column(self):
         w = torsion_witness(3, Q)
@@ -185,8 +187,8 @@ class TestTorsionWitness:
             # The certificate read off the adjugate column names the same
             # column as an independent Cramer solve.
             e1 = [MultiPoly.one(field)] + [MultiPoly.zero(field)] * (d - 2)
-            assert w.nonmembership.failed_column == solve_square(b, e1).failed_column
-            assert w.nonmembership.failed_column is not None
+            assert w.failed_column == solve_square(b, e1).failed_column
+            assert w.failed_column is not None
             # The matrix vanishes at the origin, so the fiber there has full
             # dimension d-1.
             assert b.substitute({"s": 0, "t": 0}).is_zero()

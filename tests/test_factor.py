@@ -27,7 +27,6 @@ from cokerlab.factor import (
     cyclotomic,
     factor_homogeneous_st,
     factor_over_prime_field,
-    factor_sigma_rational,
     factor_tau,
     missing_prime_power_indices,
     separability_check,
@@ -52,7 +51,7 @@ def _brute_totient(n):
 @lru_cache(maxsize=None)
 def _cyclotomic_by_division(n):
     # Oracle: t^n - 1 divided exactly by Phi_d for every proper divisor d.
-    poly = UniPoly(Q, "t", [-1] + [0] * (n - 1) + [1])
+    poly = UniPoly(Q, [-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
             poly = poly.exact_quotient(_cyclotomic_by_division(d))
@@ -85,7 +84,7 @@ def _canonical_factor_lists(draw):
         coeffs = draw(st.lists(st.sampled_from([-2, -1, 0, 1, 2, CHECK_PRIME]),
                                min_size=degree, max_size=degree))
         lead = draw(st.sampled_from(leads))
-        pairs.append((UniPoly(field, "t", coeffs + [lead]), draw(st.integers(1, 3))))
+        pairs.append((UniPoly(field, coeffs + [lead]), draw(st.integers(1, 3))))
     return pairs
 
 
@@ -128,30 +127,33 @@ class TestCyclotomic:
 
 
 class TestFactorSigmaRational:
+    # factor_tau(i, Q) factors sigma_i, homogenized: its factors dehomogenize
+    # to the Phi_m at the divisors m > 1 of i + 1.
+    @staticmethod
+    def _sigma_factors(i):
+        return [dehomogenize(p) for p, _ in factor_tau(i, Q).factors]
+
     def test_sigma1(self):
-        report = factor_sigma_rational(1)
-        assert [p for p, _ in report.factors] == [cyclotomic(2)]
+        assert self._sigma_factors(1) == [cyclotomic(2)]
 
     def test_sigma2_is_irreducible(self):
-        report = factor_sigma_rational(2)
-        assert [p for p, _ in report.factors] == [cyclotomic(3)]
+        assert self._sigma_factors(2) == [cyclotomic(3)]
         # Rational-root oracle: no integer root divides the constant term 1.
         s2 = sigma(2, Q)
         assert s2(1) != 0 and s2(-1) != 0
 
     def test_sigma3_splits(self):
-        report = factor_sigma_rational(3)
-        assert [p for p, _ in report.factors] == [cyclotomic(2), cyclotomic(4)]
+        assert self._sigma_factors(3) == [cyclotomic(2), cyclotomic(4)]
         assert cyclotomic(2) * cyclotomic(4) == sigma(3, Q)
 
     def test_degree_accounting(self):
         for i in range(1, 31):
-            degrees = sum(p.degree() * m for p, m in factor_sigma_rational(i).factors)
+            degrees = sum(p.degree() * m for p, m in factor_tau(i, Q).factors)
             assert degrees == i
 
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError):
-            factor_sigma_rational(0)
+            factor_tau(0, Q)
 
 
 class TestFactorOverPrimeField:
@@ -165,18 +167,18 @@ class TestFactorOverPrimeField:
         assert factor_roots == roots == [2, 3, 4, 5, 6]
 
     def test_square_in_characteristic_two(self):
-        f = UniPoly(F2, "t", [1, 0, 1])  # t^2+1 = (t+1)^2
+        f = UniPoly(F2, [1, 0, 1])  # t^2+1 = (t+1)^2
         report = factor_over_prime_field(f)
         assert [(str(p), m) for p, m in report.factors] == [("t+1", 2)]
 
     def test_irreducible_quadratic(self):
-        f = UniPoly(F3, "t", [1, 0, 1])  # t^2+1 has no roots mod 3
+        f = UniPoly(F3, [1, 0, 1])  # t^2+1 has no roots mod 3
         assert all(f(a) != 0 for a in range(3))
         report = factor_over_prime_field(f, seed=3)
         assert [(str(p), m) for p, m in report.factors] == [("t^2+1", 1)]
 
     def test_prime_power_content(self):
-        f = UniPoly(F2, "t", [1, 0, 0, 0, 1])  # t^4+1 = (t+1)^4 mod 2
+        f = UniPoly(F2, [1, 0, 0, 0, 1])  # t^4+1 = (t+1)^4 mod 2
         report = factor_over_prime_field(f)
         assert [(str(p), m) for p, m in report.factors] == [("t+1", 4)]
 
@@ -286,19 +288,19 @@ class TestFactorTau:
 class TestRabin:
     def test_accepts_the_cubic_factors_of_phi7_mod_2(self):
         for coeffs in ([1, 1, 0, 1], [1, 0, 1, 1]):  # t^3+t+1, t^3+t^2+1
-            assert _is_irreducible(UniPoly(F2, "t", coeffs))
-        assert UniPoly(F2, "t", [1, 1, 0, 1]) * UniPoly(F2, "t", [1, 0, 1, 1]) \
-            == UniPoly(F2, "t", cyclotomic(7).coeffs)
+            assert _is_irreducible(UniPoly(F2, coeffs))
+        assert UniPoly(F2, [1, 1, 0, 1]) * UniPoly(F2, [1, 0, 1, 1]) \
+            == UniPoly(F2, cyclotomic(7).coeffs)
 
     def test_rejects_product_of_equal_degree_irreducibles(self):
-        assert not _is_irreducible(UniPoly(F2, "t", cyclotomic(7).coeffs))
+        assert not _is_irreducible(UniPoly(F2, cyclotomic(7).coeffs))
 
     def test_rejects_square(self):
         t = UniPoly.gen(F2)
         assert not _is_irreducible((t ** 2 + t + 1) ** 2)
 
     def test_rejects_polynomial_with_a_root(self):
-        f = UniPoly(F3, "t", [1, 1, 0, 1])  # t^3+t+1 vanishes at t = 1
+        f = UniPoly(F3, [1, 1, 0, 1])  # t^3+t+1 vanishes at t = 1
         assert f(1) == 0
         assert not _is_irreducible(f)
 
@@ -372,7 +374,7 @@ class TestFactorReportInvariants:
 
     def test_rejects_square_whose_leading_coefficient_vanishes_mod_the_check_prime(self):
         # Mod p the product (p*t + 1)^2 is the constant 1.
-        f = UniPoly(Q, "t", [1, CHECK_PRIME])
+        f = UniPoly(Q, [1, CHECK_PRIME])
         with pytest.raises(ArithmeticError):
             FactorReport(input=f ** 2, unit=1, factors=((f, 1), (f, 1)))
 
