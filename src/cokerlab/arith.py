@@ -3,8 +3,9 @@
 Coefficients live in the rationals or in a prime field F_p.  Multivariate
 polynomials are sparse maps from monomials in x, y, u, v, s, t to nonzero
 scalars; univariate polynomials are dense coefficient lists in t and feed
-the factorization routines.  All values are immutable after construction and
-every operation is pure.
+the factorization routines; binary forms in s, t are univariates with a
+degree.  All values are immutable after construction and every operation
+is pure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import isqrt
 from typing import Iterator, Mapping, Optional, Union
 
@@ -306,9 +308,6 @@ class MultiPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self._terms.get(mono, self.field.zero)
-
     def constant_term(self) -> Scalar:
         return self._terms.get(Monomial.one(), self.field.zero)
 
@@ -437,28 +436,7 @@ class MultiPoly:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        rational = self.field.is_rationals
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            if rational and coeff < 0:
-                sign, mag = "-", -coeff
-            else:
-                sign, mag = "+", coeff
-            var_part = str(mono)
-            if not var_part:
-                body = str(mag)
-            elif mag == 1:
-                body = var_part
-            else:
-                body = f"{mag}*{var_part}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = [first_body if first_sign == "+" else "-" + first_body]
-        for sign, body in pieces[1:]:
-            out.append(sign + body)
-        return "".join(out)
+        return _format_terms(self.field, [(c, str(m)) for m, c in self.sorted_terms()])
 
     def __repr__(self) -> str:
         return f"MultiPoly({self} over {self.field.spec})"
@@ -475,6 +453,22 @@ def _power(base, n: int, one):
         base = base * base if n > 1 else base
         n >>= 1
     return result
+
+
+def _format_terms(field: Field, terms: list) -> str:
+    """Canonical text of (coefficient, monomial text) pairs in term order."""
+    out = []
+    for coeff, var_part in terms:
+        sign, mag = ("-", -coeff) if field.is_rationals and coeff < 0 else ("+", coeff)
+        if not var_part:
+            body = str(mag)
+        elif mag == 1:
+            body = var_part
+        else:
+            body = f"{mag}*{var_part}"
+        out.append(sign + body)
+    text = "".join(out) or "0"
+    return text[1:] if text[0] == "+" else text
 
 
 def _is_canonical_scalar(field: Field, value) -> bool:
@@ -528,16 +522,12 @@ def exact_divide(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
 # The tau and sigma families.
 
 
-def tau(i: int, field: Field) -> MultiPoly:
+def tau(i: int, field: Field) -> Form:
     """(-1)^i * (t^i + s*t^(i-1) + ... + s^(i-1)*t + s^i), defined for i >= 1."""
     if i < 1:
         raise ValueError("tau(i) requires i >= 1")
     sign = field.one if i % 2 == 0 else field.minus_one
-    terms = {}
-    for j in range(i + 1):
-        mono = Monomial.from_dict({"t": j, "s": i - j})
-        terms[mono] = sign
-    return MultiPoly(field, terms)
+    return Form(UniPoly._exact(field, [sign] * (i + 1)), i)
 
 
 def sigma(i: int, field: Field) -> UniPoly:
@@ -563,6 +553,21 @@ class UniPoly:
             cleaned.pop()
         self.field = field
         self.coeffs = tuple(cleaned)
+
+    @classmethod
+    def _exact(cls, field: Field, values: list) -> UniPoly:
+        """From exact kernel results, skipping the public checks: one % p pass
+        over F_p; over Q every int is canonical, so only Fractions are checked."""
+        p = field.p
+        if p is not None:
+            values = [v % p for v in values]
+        elif not set(map(type, values)) <= {int}:
+            return cls(field, values)
+        while values and values[-1] == 0:
+            values.pop()
+        poly = object.__new__(cls)
+        poly.field, poly.coeffs = field, tuple(values)
+        return poly
 
     @classmethod
     def zero(cls, field: Field) -> UniPoly:
@@ -595,11 +600,6 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, k: int) -> Scalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.field.zero
-
     def _check(self, other: UniPoly) -> None:
         _require_same_field(self.field, other.field)
 
@@ -615,9 +615,8 @@ class UniPoly:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(f, [f.add(self.coefficient(k), other.coefficient(k)) for k in range(n)])
+        return UniPoly._exact(self.field, [a + b for a, b in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -628,8 +627,7 @@ class UniPoly:
         return self + (-other)
 
     def __neg__(self) -> UniPoly:
-        f = self.field
-        return UniPoly(f, [f.neg(c) for c in self.coeffs])
+        return UniPoly._exact(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -640,14 +638,16 @@ class UniPoly:
         f = self.field
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(f)
-        # Accumulate exact products and bring each sum into the field once.
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        # Accumulate exact products and bring each sum into the field once;
+        # the outer loop runs over the shorter factor.
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        out = [0] * (len(short) + len(long) - 1)
+        for i, a in enumerate(short):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(f, out)
+            for j, b in enumerate(long, i):
+                out[j] += a * b
+        return UniPoly._exact(f, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -657,7 +657,7 @@ class UniPoly:
     def scale(self, value) -> UniPoly:
         f = self.field
         c = f.coerce(value)
-        return UniPoly(f, [f.mul(a, c) for a in self.coeffs])
+        return UniPoly._exact(f, [a * c for a in self.coeffs])
 
     def __pow__(self, n: int) -> UniPoly:
         return _power(self, n, UniPoly.one(self.field))
@@ -683,7 +683,7 @@ class UniPoly:
             quot[k] = c
             for j, b in enumerate(lower):
                 rem[k + j] -= c * b
-        return (UniPoly(f, quot), UniPoly(f, rem))
+        return (UniPoly._exact(f, quot), UniPoly._exact(f, rem))
 
     def __mod__(self, other: UniPoly) -> UniPoly:
         return divmod(self, other)[1]
@@ -701,8 +701,7 @@ class UniPoly:
 
     def derivative(self) -> UniPoly:
         """Formal derivative, with coefficient arithmetic in the field."""
-        f = self.field
-        return UniPoly(f, [f.mul(f.coerce(k), c) for k, c in enumerate(self.coeffs)][1:])
+        return UniPoly._exact(self.field, [k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, value) -> Scalar:
         f = self.field
@@ -713,11 +712,8 @@ class UniPoly:
         return acc
 
     def to_multipoly(self) -> MultiPoly:
-        terms = {}
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                terms[Monomial.variable("t", k) if k else Monomial.one()] = c
-        return MultiPoly(self.field, terms)
+        return MultiPoly(self.field, {Monomial((k, 0, 0, 0, 0, 0)): c
+                                      for k, c in enumerate(self.coeffs)})
 
     def sort_key(self) -> tuple:
         return (self.degree(), self.coeffs)
@@ -747,31 +743,92 @@ def gcd_univariate(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def homogenize(f: UniPoly) -> MultiPoly:
-    """s^deg(f) * f(t/s), spreading each coefficient onto t^j * s^(deg-j)."""
-    if f.is_zero():
-        raise ValueError("cannot homogenize the zero polynomial")
-    d = f.degree()
-    terms = {}
-    for j, c in enumerate(f.coeffs):
-        if c != 0:
-            terms[Monomial.from_dict({"t": j, "s": d - j})] = c
-    return MultiPoly(f.field, terms)
+# ----------------------------------------------------------------------------
+# Binary forms in s, t.
 
 
-def dehomogenize(g: MultiPoly) -> UniPoly:
-    """Specialize s to 1; g must be homogeneous in {t, s} alone."""
-    if g.is_zero():
-        return UniPoly.zero(g.field)
-    if not g.variables() <= {"t", "s"}:
-        raise ValueError("polynomial involves variables outside {t,s}")
-    if not g.is_homogeneous():
-        raise ValueError("polynomial is not homogeneous")
-    d = g.degree()
-    coeffs = [g.field.zero] * (d + 1)
-    for mono, c in g.items():
-        coeffs[mono.exponent("t")] = c
-    return UniPoly(g.field, coeffs)
+class Form:
+    """The binary form s^degree * u(t/s), for u in t with deg u <= degree:
+    arithmetic on u, with s dividing a nonzero form degree - deg u times.
+    All zero forms are equal, like MultiPoly's zero; nonzero forms add only
+    within one degree."""
+
+    __slots__ = ("u", "degree")
+
+    def __init__(self, u: UniPoly, degree: int):
+        if u.degree() > degree:
+            raise ValueError(f"{u} has degree above {degree}")
+        self.u = u
+        self.degree = degree
+
+    @classmethod
+    def from_multipoly(cls, g: MultiPoly) -> Form:
+        """g as a form; g must be homogeneous in t, s alone."""
+        terms = list(g.items())
+        # t and s lead VARIABLES, so exps[0] is the power of t.
+        if any(any(mono.exps[2:]) for mono, _ in terms):
+            raise ValueError("polynomial involves variables outside {t,s}")
+        d = terms[0][0].degree() if terms else 0
+        if any(mono.degree() != d for mono, _ in terms):
+            raise ValueError("polynomial is not homogeneous")
+        coeffs = [0] * (d + 1)
+        for mono, c in terms:
+            coeffs[mono.exps[0]] = c
+        return cls(UniPoly._exact(g.field, coeffs), d)
+
+    def to_multipoly(self) -> MultiPoly:
+        d = self.degree
+        return MultiPoly(self.field, {Monomial((j, d - j, 0, 0, 0, 0)): c
+                                      for j, c in enumerate(self.u.coeffs)})
+
+    @property
+    def field(self) -> Field:
+        return self.u.field
+
+    def is_zero(self) -> bool:
+        return not self.u.coeffs
+
+    def __add__(self, other: Form) -> Form:
+        _require_same_field(self.field, other.field)
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
+        if self.degree != other.degree:
+            raise ValueError("sum of forms of different degrees")
+        return Form(self.u + other.u, self.degree)
+
+    def __sub__(self, other: Form) -> Form:
+        return self + -other
+
+    def __neg__(self) -> Form:
+        return Form(-self.u, self.degree)
+
+    def __mul__(self, other: Form) -> Form:
+        return Form(self.u * other.u, self.degree + other.degree)
+
+    def times_minus_s(self, i: int) -> Form:
+        """(-s)^i times the form: a shift of the degree, with a sign."""
+        return Form(-self.u if i % 2 else self.u, self.degree + i)
+
+    def divides(self, other: Form) -> bool:
+        """Whether self divides other: on the parts in t, and in the power of s."""
+        return other.is_zero() or (
+            (other.u % self.u).is_zero()
+            and other.degree - other.u.degree() >= self.degree - self.u.degree())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Form):
+            return NotImplemented
+        return self.u == other.u and (self.degree == other.degree or self.is_zero())
+
+    def __hash__(self) -> int:
+        return hash((self.u, None if self.is_zero() else self.degree))
+
+    def __str__(self) -> str:
+        d, coeffs = self.degree, self.u.coeffs
+        return _format_terms(self.field, [
+            (coeffs[j], "*".join(name if e == 1 else f"{name}^{e}"
+                                 for name, e in (("s", d - j), ("t", j)) if e))
+            for j in range(len(coeffs) - 1, -1, -1) if coeffs[j]])
 
 
 # ----------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .arith import Field, Monomial, MultiPoly, tau
+from .arith import Field, Form, UniPoly, tau
 from .cohomology import (
     column_bidegree,
     component_dd,
@@ -175,10 +175,13 @@ def run_verify(config: RunConfig) -> tuple:
     all_pass = True
     dets: list = []
     tau1 = tau(1, field)  # -t-s, the recurrence multiplier
-    st = MultiPoly.term(field, 1, Monomial.from_dict({"s": 1, "t": 1}))
+    st = Form(UniPoly.gen(field), 2)
     for i in range(1, config.max_i + 1):
         b = build_b(i, field)
-        d = continuant(b)
+        try:
+            d = continuant(b)
+        except ValueError:
+            d = None  # an entry of B is not a form, so det B is no form either
         dets.append(d)
         t_i = tau(i, field)
         identity_ok = d == t_i
@@ -187,13 +190,13 @@ def run_verify(config: RunConfig) -> tuple:
             # identity is proven independently of it.
             certify_det_b(b)
         recurrence_ok = None
-        if i >= 3:
+        if i >= 3 and None not in dets[i - 3:]:
             recurrence_ok = d == tau1 * dets[i - 2] - st * dets[i - 3]
         ok = identity_ok and recurrence_ok is not False
         all_pass = all_pass and ok
         results.append({
             "i": i,
-            "det_b": str(d),
+            "det_b": None if d is None else str(d),
             "tau": str(t_i),
             "identity": identity_ok,
             "recurrence": recurrence_ok,

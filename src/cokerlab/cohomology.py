@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .arith import Field, Monomial, MultiPoly, exact_divide, tau
+from .arith import Field, Form, Monomial, MultiPoly, UniPoly, exact_divide, tau
 from .factor import FactorReport
 from .matrices import PolyMatrix, build_b, certify_det_b
 
@@ -277,7 +277,7 @@ class TorsionWitness:
     outside the image."""
 
     d: int
-    annihilator: MultiPoly
+    annihilator: Form
     solution: tuple
     failed_column: int
     relations: PolyMatrix
@@ -299,7 +299,7 @@ def torsion_witness(d: int, field: Field) -> TorsionWitness:
     b = build_b(n, field)
     solution = certify_det_b(b)
     failed = next((i + 1 for i, numerator in enumerate(solution)
-                   if exact_divide(numerator, annihilator) is None), None)
+                   if not annihilator.divides(numerator)), None)
     if failed is None:
         raise ArithmeticError("e_1 unexpectedly lies in the image")
     return TorsionWitness(d=d, annihilator=annihilator, solution=tuple(solution),
@@ -311,7 +311,7 @@ class PrimeWitness:
     """An irreducible homogeneous divisor of the determinant, generating a
     minimal prime of the component's support."""
 
-    generator: MultiPoly
+    generator: Form
     source_d: int
     avoids_s: bool
 
@@ -325,15 +325,15 @@ def prime_witnesses(d: int, report: FactorReport) -> list:
     field = t_poly.field
     if t_poly != tau(d - 1, field):
         raise ValueError("the report does not factor tau_(d-1)")
-    s_poly = MultiPoly.variable(field, "s")
-    if exact_divide(t_poly, s_poly) is not None:
+    # s divides a form exactly when its coefficient of t^degree vanishes.
+    if t_poly.u.degree() < t_poly.degree:
         raise ArithmeticError("s unexpectedly divides the determinant")
     witnesses = []
     for poly, _ in report.factors:
-        if exact_divide(t_poly, poly) is None:
+        if not poly.divides(t_poly):
             raise ArithmeticError("witness does not divide the determinant")
         witnesses.append(PrimeWitness(generator=poly, source_d=d,
-                                      avoids_s=(poly != s_poly)))
+                                      avoids_s=(poly != Form(UniPoly.one(field), 1))))
     return witnesses
 
 
@@ -349,4 +349,4 @@ def in_irrelevant_ideal(poly: MultiPoly) -> bool:
 def tau_in_irrelevant_ideal(i: int, field: Field = Field.rationals()) -> bool:
     """Whether tau_i sits inside the irrelevant maximal ideal (always true:
     tau_i is homogeneous of positive degree)."""
-    return in_irrelevant_ideal(tau(i, field))
+    return in_irrelevant_ideal(tau(i, field).to_multipoly())

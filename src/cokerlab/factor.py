@@ -24,18 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .arith import (
-    Field,
-    Monomial,
-    MultiPoly,
-    UniPoly,
-    dehomogenize,
-    exact_divide,
-    gcd_univariate,
-    homogenize,
-    sigma,
-    tau,
-)
+from .arith import Field, Form, UniPoly, gcd_univariate, sigma, tau
 
 _EDF_MAX_TRIES = 512
 
@@ -52,33 +41,31 @@ class FactorReport:
     and the squarefree product of the distinct factors are re-verified.
     """
 
-    input: Union[MultiPoly, UniPoly]
+    input: Union[Form, UniPoly]
     unit: Union[int, Fraction]
     factors: tuple  # pairs (polynomial, multiplicity >= 1)
 
     def __post_init__(self) -> None:
-        homogeneous = isinstance(self.input, MultiPoly)
-        target = dehomogenize(self.input) if homogeneous else self.input
-        product = UniPoly.constant(target.field, self.unit)
-        distinct = UniPoly.one(target.field)
+        homogeneous = isinstance(self.input, Form)
+        product = UniPoly.constant(self.input.field, self.unit)
+        distinct = UniPoly.one(self.input.field)
         degree = s_divisible = 0
         for poly, mult in self.factors:
             if mult < 1:
                 raise ValueError("factor multiplicities must be >= 1")
             if not _is_canonical_factor(poly):
                 raise ValueError(f"factor {poly} is not canonically normalized")
-            u = dehomogenize(poly) if homogeneous else poly
+            u = poly.u if homogeneous else poly
             product = product * u ** mult
             distinct = distinct * u
-            degree += mult * poly.degree()
-            s_divisible += u.degree() < poly.degree()
-        # dehomogenize accepts only forms in s, t; on forms of one degree,
-        # setting s = 1 is injective.  s itself goes to 1, so the degree sum
-        # is what catches a dropped power of s.
-        if product != target or (homogeneous and degree != self.input.degree()):
+            if homogeneous:
+                degree += mult * poly.degree
+                s_divisible += u.degree() < poly.degree
+        # A form carries its degree, so a dropped power of s shows here.
+        if (Form(product, degree) if homogeneous else product) != self.input:
             raise ArithmeticError("factorization does not reassemble the input")
-        # Factors sharing a divisor h put h^2 into their product; and s, which
-        # dehomogenizes to 1, may divide one factor only.
+        # Factors sharing a divisor h put h^2 into their product; and s, whose
+        # part in t is 1, may divide one factor only.
         if s_divisible > 1 or not _is_squarefree(distinct):
             raise ArithmeticError("factors are not pairwise coprime")
 
@@ -103,14 +90,11 @@ def _is_squarefree(f: UniPoly) -> bool:
     return gcd_univariate(f, f.derivative()).is_one()
 
 
-def _is_canonical_factor(poly: Union[MultiPoly, UniPoly]) -> bool:
-    # Monic over a prime field; positive leading coefficient (in the term
-    # order) over the rationals.
+def _is_canonical_factor(poly: Union[Form, UniPoly]) -> bool:
+    # Monic over a prime field; over Q a positive leading coefficient in the
+    # term order, where a form leads with its highest power of t.
     field = poly.field
-    if isinstance(poly, UniPoly):
-        lead = poly.lc
-    else:
-        lead = poly.leading_term()[1]
+    lead = poly.u.lc if isinstance(poly, Form) else poly.lc
     if field.is_rationals:
         return lead > 0
     return lead == field.one
@@ -344,13 +328,12 @@ def _frobenius_matrix(f: UniPoly) -> list:
 def _frobenius(h: UniPoly, rows: list) -> UniPoly:
     """h^p mod f for h reduced mod f, given f's Frobenius matrix: over F_p
     the coefficients are their own p-th powers, so h^p = sum h_j x^(p*j)."""
-    p = h.field.p
     out = [0] * len(rows)
     for c, row in zip(h.coeffs, rows):
         if c:
             for j, a in enumerate(row.coeffs):
                 out[j] += c * a
-    return UniPoly(h.field, [v % p for v in out])
+    return UniPoly._exact(h.field, out)
 
 
 def _conjugate_fold(r: UniPoly, k: int, rows: list, combine) -> UniPoly:
@@ -442,40 +425,26 @@ def factor_over_prime_field(f: UniPoly, seed: Optional[int] = None) -> FactorRep
 # Homogeneous bivariate inputs (the tau family and the determinants).
 
 
-def factor_homogeneous_st(g: MultiPoly, seed: Optional[int] = None) -> FactorReport:
-    """Factor a nonzero homogeneous polynomial in s, t into canonical
-    homogeneous irreducibles, by dehomogenizing, factoring in one variable,
-    and homogenizing each factor back (degree-faithful once the s-content
-    is split off)."""
+def factor_homogeneous_st(g: Form, seed: Optional[int] = None) -> FactorReport:
+    """Factor a nonzero binary form into canonical irreducible forms: the
+    power of s it carries, and the factors of its part in t, each as a form
+    of its own degree."""
     if g.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     field = g.field
-    if not g.variables() <= {"s", "t"}:
-        raise ValueError("input must live in k[s,t]")
-    if not g.is_homogeneous():
-        raise ValueError("input must be homogeneous")
-    s_content = min(mono.exponent("s") for mono, _ in g.items())
-    reduced = g
-    if s_content:
-        s_power = MultiPoly.term(field, 1, Monomial.variable("s", s_content))
-        reduced = exact_divide(g, s_power)
-    u = dehomogenize(reduced)
-    unit = u.lc
-    monic = u.monic()
+    s_content = g.degree - g.u.degree()
+    monic = g.u.monic()
     if field.is_rationals:
         pairs = _cyclotomic_trial_division(monic)
     else:
-        report = factor_over_prime_field(monic, seed=seed)
-        pairs = list(report.factors)
-    factors = []
-    if s_content:
-        factors.append((MultiPoly.variable(field, "s"), s_content))
-    factors.extend((homogenize(poly), mult) for poly, mult in pairs)
-    return _homogeneous_report(g, unit, factors)
+        pairs = list(factor_over_prime_field(monic, seed=seed).factors)
+    factors = [(Form(UniPoly.one(field), 1), s_content)] if s_content else []
+    factors.extend((Form(poly, poly.degree()), mult) for poly, mult in pairs)
+    return _homogeneous_report(g, g.u.lc, factors)
 
 
-def _homogeneous_report(g: MultiPoly, unit, factors: list) -> FactorReport:
-    factors.sort(key=lambda pair: (pair[0].degree(), str(pair[0])))
+def _homogeneous_report(g: Form, unit, factors: list) -> FactorReport:
+    factors.sort(key=lambda pair: (pair[0].degree, str(pair[0])))
     return FactorReport(input=g, unit=unit, factors=tuple(factors))
 
 
@@ -492,8 +461,8 @@ def factor_tau(i: int, field: Field, seed: Optional[int] = None) -> FactorReport
         pairs = [(cyclotomic(m), 1) for m in _divisors_above_one(i + 1)]
     else:
         pairs = _factor_sigma_mod_p(i, field, seed)
-    factors = [(homogenize(poly), mult) for poly, mult in pairs]
-    return _homogeneous_report(g, dehomogenize(g).lc, factors)
+    factors = [(Form(phi, phi.degree()), mult) for phi, mult in pairs]
+    return _homogeneous_report(g, g.u.lc, factors)
 
 
 def _factor_sigma_mod_p(i: int, field: Field, seed: Optional[int]) -> list:

@@ -3,9 +3,9 @@
 The builders write the tridiagonal family A, the square tridiagonal B
 (A at x = y = 1 without its first and last columns) and the taller relation
 matrix M from one band of entries s, -(t+s), t.  Tridiagonal
-determinants come from the continuant (three-term) recurrence, and
-certify_det_b proves det(B_n) = tau_n independently of it, from the closed
-form of adj(B_n) e_1.  The generic determinant is fraction-free (Bareiss),
+determinants come from the continuant (three-term) recurrence on binary
+forms, and certify_det_b proves det(B_n) = tau_n independently of it, from
+the closed form of adj(B_n) e_1, also on forms.  The generic determinant is fraction-free (Bareiss),
 with cofactor expansion, adjugate columns and square-system membership kept
 as structure-blind oracles.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Field, MultiPoly, exact_divide, tau
+from .arith import Field, Form, MultiPoly, UniPoly, exact_divide, tau
 
 
 class PolyMatrix:
@@ -186,18 +186,21 @@ def det(m: PolyMatrix, method: str = "bareiss") -> MultiPoly:
     raise ValueError(f"unknown determinant method {method!r}")
 
 
-def continuant(m: PolyMatrix) -> MultiPoly:
-    """Determinant of a tridiagonal matrix by the continuant recurrence
-    D_k = m[k,k] D_(k-1) - m[k,k-1] m[k-1,k] D_(k-2), with D_0 = 1."""
+def continuant(m: PolyMatrix) -> Form:
+    """Determinant of a tridiagonal matrix of forms in s, t by the continuant
+    recurrence D_k = m[k,k] D_(k-1) - m[k,k-1] m[k-1,k] D_(k-2), with D_0 = 1."""
     if not m.is_square:
         raise ValueError("continuant of a non-square matrix")
     n = m.rows
-    if any(not m[r, c].is_zero() for r in range(n) for c in range(n) if abs(r - c) > 1):
+    # A MultiPoly is falsy exactly when it is zero.
+    if any(any(m.row(r)[:max(r - 1, 0)]) or any(m.row(r)[r + 2:]) for r in range(n)):
         raise ValueError("continuant of a matrix with entries outside its three "
                          "central diagonals")
-    before, current = MultiPoly.one(m.field), m[0, 0]
+    form = Form.from_multipoly
+    before, current = Form(UniPoly.one(m.field), 0), form(m[0, 0])
     for k in range(1, n):
-        before, current = current, m[k, k] * current - m[k, k - 1] * m[k - 1, k] * before
+        before, current = current, (form(m[k, k]) * current
+                                    - form(m[k, k - 1]) * form(m[k - 1, k]) * before)
     return current
 
 
@@ -207,19 +210,27 @@ def certify_det_b(b: PolyMatrix) -> list:
     w is written down from the closed form for tridiagonal inverses (R. A.
     Usmani, Linear Algebra Appl. 212/213, 1994): w_i = (-s)^i * tau_(n-1-i),
     with tau_0 = 1.  Two exact checks against b's own entries make it a
-    proof; ArithmeticError is raised when either fails.
+    proof; ArithmeticError is raised when either fails, or when an entry is
+    not a form in s, t.
     """
+    if not b.is_square:
+        raise ValueError("certify_det_b requires a square matrix")
     field = b.field
     n = b.rows
     s = MultiPoly.variable(field, "s")
-    minus_s = -s
-    w = [minus_s ** i * tau(n - 1 - i, field) for i in range(n - 1)]
-    w.append(minus_s ** (n - 1))
-    if b.mul_vector(w) != [tau(n, field)] + [MultiPoly.zero(field)] * (n - 1):
-        raise ArithmeticError("B w = tau e_1 does not hold")
-    if (any(not b[r, c].is_zero() for r in range(n) for c in range(r - 1))
+    if (any(any(b.row(r)[:r - 1]) for r in range(2, n))
             or any(b[r, r - 1] != s for r in range(1, n))):
         raise ArithmeticError("B is not zero below a subdiagonal of s")
+    w = [tau(n - 1 - i, field).times_minus_s(i) for i in range(n - 1)]
+    w.append(Form(UniPoly.one(field), 0).times_minus_s(n - 1))
+    zero = Form(UniPoly.zero(field), 0)
+    try:
+        bw = [sum((Form.from_multipoly(e) * w_c for e, w_c in zip(b.row(r), w) if e), zero)
+              for r in range(n)]
+    except ValueError as exc:  # a sum of forms raises rather than mix degrees
+        raise ArithmeticError(f"an entry of B is not a form in s, t of degree 1: {exc}") from None
+    if bw[0] != tau(n, field) or any(not e.is_zero() for e in bw[1:]):
+        raise ArithmeticError("B w = tau e_1 does not hold")
     # Deleting the first row and the last column of such a B leaves a
     # triangular matrix with s on its diagonal, so
     # adj(B)[n-1][0] = (-s)^(n-1) = w[n-1] != 0.

@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cokerlab.arith import (
     Field,
     FieldMismatchError,
+    Form,
     Monomial,
     MultiPoly,
     UniPoly,
-    dehomogenize,
+    _is_canonical_scalar,
     exact_divide,
     gcd_univariate,
-    homogenize,
     parse_poly,
     sigma,
     tau,
@@ -22,6 +24,7 @@ Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F7 = Field.prime(7)
+F101 = Field.prime(101)
 
 
 def qp(text):
@@ -120,7 +123,7 @@ class TestExactDivide:
         assert quotient * b == a  # multiply back to confirm
 
     def test_multiply_then_divide_identity(self):
-        t2 = tau(2, Q)
+        t2 = tau(2, Q).to_multipoly()
         assert exact_divide(t2 * qp("s"), qp("s")) == t2
 
     def test_degree_obstruction(self):
@@ -156,9 +159,9 @@ def _random_poly(rng, field, variables):
 
 class TestTau:
     def test_first_values(self):
-        assert tau(1, Q) == qp("-t-s")
-        assert tau(2, Q) == qp("t^2+s*t+s^2")
-        assert tau(3, Q) == qp("-t^3-s*t^2-s^2*t-s^3")
+        assert tau(1, Q).to_multipoly() == qp("-t-s")
+        assert tau(2, Q).to_multipoly() == qp("t^2+s*t+s^2")
+        assert tau(3, Q).to_multipoly() == qp("-t^3-s*t^2-s^2*t-s^3")
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -167,9 +170,9 @@ class TestTau:
     @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
     def test_shape(self, field):
         for i in range(1, 31):
-            t_i = tau(i, field)
+            t_i = tau(i, field).to_multipoly()
             assert t_i.is_homogeneous()
-            assert t_i.degree() == i
+            assert t_i.degree() == tau(i, field).degree == i
             assert len(t_i) == i + 1
 
 
@@ -195,29 +198,151 @@ class TestSigma:
 
 
 class TestHomogenize:
+    # Homogenizing u is Form(u, deg u); dehomogenizing a form reads its u.
     def test_sigma2_matches_tau2(self):
-        assert homogenize(sigma(2, Q)) == tau(2, Q)
+        assert Form(sigma(2, Q), 2) == tau(2, Q)
 
     def test_dehomogenize_tau3(self):
-        assert dehomogenize(tau(3, Q)) == -sigma(3, Q)
+        assert tau(3, Q).u == -sigma(3, Q)
 
     def test_round_trip(self):
-        assert dehomogenize(homogenize(sigma(4, Q))) == sigma(4, Q)
+        form = Form.from_multipoly(Form(sigma(4, Q), 4).to_multipoly())
+        assert form.u == sigma(4, Q) and form.degree == 4
 
     def test_sign_bridge_both_fields(self):
         for field in (Q, F3):
             for i in range(1, 31):
                 sign = 1 if i % 2 == 0 else -1
-                assert sign * homogenize(sigma(i, field)) == tau(i, field)
-                assert dehomogenize(tau(i, field)) == sign * sigma(i, field)
+                assert Form(sign * sigma(i, field), i) == tau(i, field)
+                assert tau(i, field).u == sign * sigma(i, field)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            homogenize(UniPoly.zero(Q))
+            Form(sigma(2, Q), 1)  # t^2 + t + 1 has no room in degree 1
         with pytest.raises(ValueError):
-            dehomogenize(qp("t^2+s"))  # not homogeneous
+            Form.from_multipoly(qp("t^2+s"))  # not homogeneous
         with pytest.raises(ValueError):
-            dehomogenize(qp("x*t"))  # wrong variables
+            Form.from_multipoly(qp("x*t"))  # wrong variables
+
+
+FORM_FIELDS = [Q, F2, F7, F101]
+
+
+@st.composite
+def _form(draw, field, degree=None):
+    # A form of degree <= 4 whose coefficients of t^degree and s^degree
+    # vanish at random, so forms divisible by s, by t and by both occur.
+    d = draw(st.integers(0, 4)) if degree is None else degree
+    scalar = st.integers(-4, 4)
+    if field.is_rationals:
+        scalar = st.one_of(scalar, st.fractions(-2, 2, max_denominator=3))
+    coeffs = [field.coerce(c) for c in draw(st.lists(scalar, min_size=d + 1,
+                                                     max_size=d + 1))]
+    if draw(st.booleans()):
+        coeffs[-1] = 0  # s divides
+    if draw(st.booleans()):
+        coeffs[0] = 0  # t divides
+    return Form(UniPoly(field, coeffs), d)
+
+
+@st.composite
+def _form_pair(draw, same_degree=False):
+    field = draw(st.sampled_from(FORM_FIELDS))
+    a = draw(_form(field))
+    return field, a, draw(_form(field, a.degree if same_degree else None))
+
+
+class TestFormAgainstMultiPoly:
+    """Form arithmetic and text against the MultiPoly oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_form_pair())
+    def test_product(self, case):
+        _, a, b = case
+        assert (a * b).to_multipoly() == a.to_multipoly() * b.to_multipoly()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_form_pair(same_degree=True))
+    def test_sum_difference_and_negation(self, case):
+        _, a, b = case
+        assert (a + b).to_multipoly() == a.to_multipoly() + b.to_multipoly()
+        assert (a - b).to_multipoly() == a.to_multipoly() - b.to_multipoly()
+        assert (-a).to_multipoly() == -a.to_multipoly()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_form_pair())
+    def test_equality_hash_text_and_round_trip(self, case):
+        _, a, b = case
+        assert (a == b) == (a.to_multipoly() == b.to_multipoly())
+        if a == b:
+            assert hash(a) == hash(b)
+        assert str(a) == str(a.to_multipoly())
+        back = Form.from_multipoly(a.to_multipoly())
+        assert back == a and (a.is_zero() or back.degree == a.degree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_form_pair())
+    def test_divisibility(self, case):
+        _, a, b = case
+        if b.is_zero():
+            return
+        for target in (a, a * b):
+            quotient = exact_divide(target.to_multipoly(), b.to_multipoly())
+            assert b.divides(target) == (quotient is not None)
+        assert b.divides(a * b)
+
+    @pytest.mark.parametrize("field", FORM_FIELDS, ids=lambda f: f.spec)
+    def test_zero_form(self, field):
+        zeros = [Form(UniPoly.zero(field), d) for d in range(3)]
+        zeros.append(Form.from_multipoly(MultiPoly.zero(field)))
+        t_s = Form(UniPoly.gen(field), 2)
+        for z in zeros:
+            assert z == zeros[0] and hash(z) == hash(zeros[0])
+            assert z.to_multipoly() == MultiPoly.zero(field)
+            assert str(z) == "0"
+            assert z + t_s == t_s and z * t_s == z
+            assert z.is_zero() and t_s.divides(z)
+        assert Form(UniPoly.one(field), 0) != Form(UniPoly.one(field), 1)
+
+    def test_times_minus_s(self):
+        for field in FORM_FIELDS:
+            minus_s = Form(UniPoly.constant(field, -1), 1)
+            for i in range(5):
+                power = Form(UniPoly.one(field), 0)
+                for _ in range(i):
+                    power = power * minus_s
+                assert tau(3, field).times_minus_s(i) == tau(3, field) * power
+
+    def test_text_in_both_fields(self):
+        assert str(Form(UniPoly(Q, [0, Fraction(-1, 2), 3]), 4)) == "3*s^2*t^2-1/2*s^3*t"
+        assert str(Form(UniPoly(F7, [-1, 0, 1]), 2)) == "t^2+6*s^2"
+
+    def test_sum_of_different_degrees_rejected(self):
+        with pytest.raises(ValueError):
+            tau(1, Q) + tau(2, Q)
+
+
+@st.composite
+def _unipoly_pair(draw):
+    field = draw(st.sampled_from(FORM_FIELDS))
+    a, b = draw(_form(field)).u, draw(_form(field)).u
+    return a, b
+
+
+class TestUniPolyKernelStaysCanonical:
+    # The kernel builds its results without re-checking them, so every
+    # result must still hold canonical scalars and no trailing zero.
+    @settings(max_examples=200, deadline=None)
+    @given(_unipoly_pair())
+    def test_results_are_canonical(self, pair):
+        a, b = pair
+        results = [a + b, a - b, -a, a * b, a.scale(3), a.derivative()]
+        if not b.is_zero():
+            results.extend(divmod(a, b))
+        for r in results:
+            assert all(_is_canonical_scalar(r.field, c) for c in r.coeffs)
+            assert not r.coeffs or r.coeffs[-1] != 0
+            assert UniPoly(r.field, r.coeffs) == r
 
 
 class TestDerivative:

@@ -396,6 +396,35 @@ class TestComputedOnce:
         assert generic == []
         assert proofs
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-lemma1", "--max-i", "10"],
+        ["factors", "--set", "1..30"],
+        ["factors", "--set", "1..30", "--field", "fp:7"],
+        ["frobenius", "--n-set", "6..9"],
+    ], ids=["verify-lemma1", "factors-q", "factors-fp7", "frobenius"])
+    def test_binary_forms_never_multiply_multipolys(self, monkeypatch, capsys, argv):
+        # tau, the continuant, the certificate and the factor reports all
+        # compute on forms in s, t.
+        products = _count_calls(monkeypatch, MultiPoly, "__mul__")
+        assert main(argv) == EXIT_OK
+        assert products == []
+
+    def test_cohomology_multiplies_multipolys_only_for_a_and_its_component(
+            self, monkeypatch, capsys):
+        callers = []
+        multiply = MultiPoly.__mul__
+
+        def counting(self, other):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return multiply(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        assert main(["cohomology", "--d-min", "2", "--d-max", "6"]) == EXIT_OK
+        assert set(callers) == {"build_a", "component_dd"}
+
     @pytest.mark.parametrize("field", ["q", "fp:7"])
     def test_at_most_one_gcd_per_report(self, monkeypatch, capsys, field):
         # A report proves its factors coprime by one squarefree test of their

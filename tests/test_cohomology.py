@@ -1,7 +1,16 @@
 import pytest
 
 from cokerlab import cohomology
-from cokerlab.arith import Field, Monomial, MultiPoly, dehomogenize, gcd_univariate, parse_poly, tau
+from cokerlab.arith import (
+    Field,
+    Form,
+    Monomial,
+    MultiPoly,
+    exact_divide,
+    gcd_univariate,
+    parse_poly,
+    tau,
+)
 from cokerlab.cohomology import (
     Bidegree,
     InverseElement,
@@ -30,6 +39,10 @@ F7 = Field.prime(7)
 
 def qp(text):
     return parse_poly(text, Q)
+
+
+def qf(text):
+    return Form.from_multipoly(qp(text))
 
 
 def elem(alpha, beta):
@@ -164,14 +177,14 @@ class TestComponent:
 class TestTorsionWitness:
     def test_d2(self):
         w = torsion_witness(2, Q)
-        assert w.annihilator == qp("-t-s")
-        assert list(w.solution) == [qp("1")]
+        assert w.annihilator == qf("-t-s")
+        assert list(w.solution) == [qf("1")]
         assert w.failed_column == 1
 
     def test_d3_solution_is_adjugate_column(self):
         w = torsion_witness(3, Q)
-        assert list(w.solution) == [qp("-t-s"), qp("-s")]
-        assert list(w.solution) == adjugate_column(build_b(2, Q), 0)
+        assert list(w.solution) == [qf("-t-s"), qf("-s")]
+        assert [e.to_multipoly() for e in w.solution] == adjugate_column(build_b(2, Q), 0)
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_certificates_verify(self, d):
@@ -179,11 +192,12 @@ class TestTorsionWitness:
             w = torsion_witness(d, field)
             b = build_b(d - 1, field)
             assert w.relations == b
-            achieved = b.mul_vector(list(w.solution))
-            expected = [tau(d - 1, field)] + [MultiPoly.zero(field)] * (d - 2)
+            solution = [e.to_multipoly() for e in w.solution]
+            achieved = b.mul_vector(solution)
+            expected = [tau(d - 1, field).to_multipoly()] + [MultiPoly.zero(field)] * (d - 2)
             assert achieved == expected
             # The closed-form solution is the adjugate column from cofactors.
-            assert list(w.solution) == adjugate_column(b, 0)
+            assert solution == adjugate_column(b, 0)
             # The certificate read off the adjugate column names the same
             # column as an independent Cramer solve.
             e1 = [MultiPoly.one(field)] + [MultiPoly.zero(field)] * (d - 2)
@@ -235,7 +249,9 @@ class TestPrimeWitnesses:
             for w in prime_witnesses(d, factor_tau(d - 1, Q)):
                 assert w.avoids_s
                 assert w.source_d == d
-                assert w.generator.is_homogeneous()
+                generator = w.generator.to_multipoly()
+                assert generator.is_homogeneous()
+                assert exact_divide(tau(d - 1, Q).to_multipoly(), generator) is not None
 
     def test_cross_degree_distinctness(self):
         seen = {}
@@ -245,8 +261,7 @@ class TestPrimeWitnesses:
         generators = list(seen)
         for i in range(len(generators)):
             for j in range(i + 1, len(generators)):
-                g = gcd_univariate(dehomogenize(generators[i]),
-                                   dehomogenize(generators[j]))
+                g = gcd_univariate(generators[i].u, generators[j].u)
                 assert g.is_one()
 
 

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from cokerlab import factor
 from cokerlab.arith import (
     Field,
-    MultiPoly,
+    Form,
     UniPoly,
-    dehomogenize,
     gcd_univariate,
-    homogenize,
     parse_poly,
     sigma,
     tau,
@@ -42,6 +40,10 @@ PRIMES = (2, 3, 5, 7, 11, 101)
 
 def qp(text):
     return parse_poly(text, Q)
+
+
+def qf(text):
+    return Form.from_multipoly(qp(text))
 
 
 def _brute_totient(n):
@@ -127,11 +129,11 @@ class TestCyclotomic:
 
 
 class TestFactorSigmaRational:
-    # factor_tau(i, Q) factors sigma_i, homogenized: its factors dehomogenize
-    # to the Phi_m at the divisors m > 1 of i + 1.
+    # factor_tau(i, Q) factors sigma_i, homogenized: the parts in t of its
+    # factors are the Phi_m at the divisors m > 1 of i + 1.
     @staticmethod
     def _sigma_factors(i):
-        return [dehomogenize(p) for p, _ in factor_tau(i, Q).factors]
+        return [p.u for p, _ in factor_tau(i, Q).factors]
 
     def test_sigma1(self):
         assert self._sigma_factors(1) == [cyclotomic(2)]
@@ -148,7 +150,7 @@ class TestFactorSigmaRational:
 
     def test_degree_accounting(self):
         for i in range(1, 31):
-            degrees = sum(p.degree() * m for p, m in factor_tau(i, Q).factors)
+            degrees = sum(p.degree * m for p, m in factor_tau(i, Q).factors)
             assert degrees == i
 
     def test_rejects_zero_index(self):
@@ -163,7 +165,7 @@ class TestFactorOverPrimeField:
         assert len(report.factors) == 5
         # Exhaustive-root oracle.
         roots = sorted(a for a in range(7) if sigma(5, F7)(a) == 0)
-        factor_roots = sorted((7 - p.coefficient(0)) % 7 for p, _ in report.factors)
+        factor_roots = sorted((7 - p.coeffs[0]) % 7 for p, _ in report.factors)
         assert factor_roots == roots == [2, 3, 4, 5, 6]
 
     def test_square_in_characteristic_two(self):
@@ -241,8 +243,8 @@ class TestFactorTau:
         for i in range(1, 21):
             report = factor_tau(i, field, seed=5)
             for poly, _ in report.factors:
-                assert poly.is_homogeneous()
-                assert poly.variables() <= {"s", "t"}
+                assert poly.to_multipoly().is_homogeneous()
+                assert poly.to_multipoly().variables() <= {"s", "t"}
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(PRIMES), st.integers(1, 80), st.booleans(),
@@ -275,14 +277,14 @@ class TestFactorTau:
         start = time.monotonic()
         report = factor_tau(200, Field.prime(101))
         elapsed = time.monotonic() - start
-        assert sum(p.degree() * m for p, m in report.factors) == 200
+        assert sum(p.degree * m for p, m in report.factors) == 200
         assert elapsed < 20.0
 
     def test_s_never_divides_tau(self):
         for i in range(1, 31):
             t_i = tau(i, Q)
             # The coefficient of t^i is +-1, so s cannot divide tau_i.
-            assert dehomogenize(t_i).degree() == i
+            assert t_i.u.degree() == i
 
 
 class TestRabin:
@@ -307,31 +309,31 @@ class TestRabin:
 
 class TestFactorHomogeneous:
     def test_splits_off_s_content(self):
-        g = qp("s^2*t+s^3")  # s^2 * (t+s)
+        g = qf("s^2*t+s^3")  # s^2 * (t+s)
         report = factor_homogeneous_st(g)
         assert report.factor_strings() == ["s", "t+s"]
         assert dict((str(p), m) for p, m in report.factors) == {"s": 2, "t+s": 1}
 
     def test_rejects_other_variables(self):
         with pytest.raises(ValueError):
-            factor_homogeneous_st(qp("x*t"))
+            factor_homogeneous_st(qf("x*t"))
 
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
-            factor_homogeneous_st(qp("t^2+s"))
+            factor_homogeneous_st(qf("t^2+s"))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            factor_homogeneous_st(MultiPoly.zero(Q))
+            factor_homogeneous_st(Form(UniPoly.zero(Q), 0))
 
     def test_non_cyclotomic_rational_input_rejected(self):
         # t^2 - 2*s^2 is irreducible with non-cyclotomic roots; the rational
         # engine only handles cyclotomic products.
         with pytest.raises(ValueError):
-            factor_homogeneous_st(qp("t^2-2*s^2"))
+            factor_homogeneous_st(qf("t^2-2*s^2"))
 
     def test_scalar_unit(self):
-        report = factor_homogeneous_st(qp("3*t+3*s"))
+        report = factor_homogeneous_st(qf("3*t+3*s"))
         assert report.unit == 3
         assert report.factor_strings() == ["t+s"]
 
@@ -340,37 +342,37 @@ class TestFactorReportInvariants:
     def test_product_check_rejects_wrong_unit(self):
         with pytest.raises(ArithmeticError):
             FactorReport(input=tau(1, Q), unit=1,
-                         factors=((qp("t+s"), 1),))
+                         factors=((qf("t+s"), 1),))
 
     def test_rejects_non_canonical_factor(self):
         with pytest.raises(ValueError):
-            FactorReport(input=qp("-t-s"), unit=1, factors=((qp("-t-s"), 1),))
+            FactorReport(input=qf("-t-s"), unit=1, factors=((qf("-t-s"), 1),))
 
     def test_rejects_duplicate_factors(self):
         with pytest.raises(ArithmeticError):
-            FactorReport(input=qp("t^2+2*s*t+s^2"), unit=1,
-                         factors=((qp("t+s"), 1), (qp("t+s"), 1)))
+            FactorReport(input=qf("t^2+2*s*t+s^2"), unit=1,
+                         factors=((qf("t+s"), 1), (qf("t+s"), 1)))
 
     def test_degree_sum_catches_a_dropped_power_of_s(self):
-        # s*t + s^2 and t + s both dehomogenize to t + 1.
+        # s*t + s^2 and t + s have the same part t + 1 in t.
         with pytest.raises(ArithmeticError):
-            FactorReport(input=qp("s*t+s^2"), unit=1, factors=((qp("t+s"), 1),))
+            FactorReport(input=qf("s*t+s^2"), unit=1, factors=((qf("t+s"), 1),))
 
     def test_rejects_s_listed_twice(self):
-        # s dehomogenizes to 1, so only the count of factors s divides sees this.
+        # The part of s in t is 1, so only the count of factors s divides sees this.
         with pytest.raises(ArithmeticError):
-            FactorReport(input=qp("s^2"), unit=1, factors=((qp("s"), 1), (qp("s"), 1)))
+            FactorReport(input=qf("s^2"), unit=1, factors=((qf("s"), 1), (qf("s"), 1)))
 
     def test_coprime_factors_equal_mod_the_check_prime_are_accepted(self):
         # t and t - p*s coincide mod p, so only the exact gcd over Q settles it.
-        factors = ((qp("t"), 1), (qp(f"t-{CHECK_PRIME}*s"), 1))
-        report = FactorReport(input=qp(f"t^2-{CHECK_PRIME}*s*t"), unit=1, factors=factors)
+        factors = ((qf("t"), 1), (qf(f"t-{CHECK_PRIME}*s"), 1))
+        report = FactorReport(input=qf(f"t^2-{CHECK_PRIME}*s*t"), unit=1, factors=factors)
         assert report.factors == factors
 
     def test_rejects_non_monic_shared_factor_over_q(self):
         with pytest.raises(ArithmeticError):
-            FactorReport(input=qp("2*t^2+4*s*t+2*s^2"), unit=1,
-                         factors=((qp("t+s"), 1), (qp("2*t+2*s"), 1)))
+            FactorReport(input=qf("2*t^2+4*s*t+2*s^2"), unit=1,
+                         factors=((qf("t+s"), 1), (qf("2*t+2*s"), 1)))
 
     def test_rejects_square_whose_leading_coefficient_vanishes_mod_the_check_prime(self):
         # Mod p the product (p*t + 1)^2 is the constant 1.
@@ -394,8 +396,8 @@ class TestFactorReportInvariants:
         for poly, mult in pairs:
             product = product * poly ** mult
         if forms:
-            product = homogenize(product)
-            pairs = [(homogenize(poly), mult) for poly, mult in pairs]
+            product = Form(product, product.degree())
+            pairs = [(Form(poly, poly.degree()), mult) for poly, mult in pairs]
         try:
             FactorReport(input=product, unit=1, factors=tuple(pairs))
             accepted = True
@@ -446,7 +448,7 @@ class TestAccumulate:
         report = accumulate_distinct(range(1, 21), Q)
         assert report.final_distinct == 20
         assert report.cumulative_distinct == tuple(range(1, 21))
-        # Pairwise-coprimality oracle on the dehomogenized witnesses.
+        # Pairwise-coprimality oracle on the parts in t of the witnesses.
         witnesses = []
         for rep in report.per_index:
             witnesses.extend(p for p, _ in rep.factors)
@@ -454,7 +456,7 @@ class TestAccumulate:
         assert len(unique) == 20
         for i in range(len(unique)):
             for j in range(i + 1, len(unique)):
-                g = gcd_univariate(dehomogenize(unique[i]), dehomogenize(unique[j]))
+                g = gcd_univariate(unique[i].u, unique[j].u)
                 assert g.is_one()
 
     def test_singleton(self):

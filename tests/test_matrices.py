@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cokerlab import cohomology, matrices
 from cokerlab.arith import Field, Monomial, MultiPoly, parse_poly, tau
 from cokerlab.matrices import (
     MembershipCertificate,
@@ -12,6 +13,7 @@ from cokerlab.matrices import (
     build_a,
     build_b,
     build_m,
+    certify_det_b,
     continuant,
     det,
     solve_square,
@@ -124,7 +126,7 @@ class TestDeterminant:
     @pytest.mark.parametrize("field", [Q, F5], ids=["q", "fp5"])
     def test_det_b_equals_tau(self, field):
         for i in range(1, 31):
-            assert det(build_b(i, field)) == tau(i, field)
+            assert det(build_b(i, field)) == tau(i, field).to_multipoly()
 
     def test_recurrence_full_range(self):
         dets = {i: det(build_b(i, Q)) for i in range(1, 31)}
@@ -161,19 +163,22 @@ class TestDeterminant:
 
 @st.composite
 def _tridiagonal(draw):
-    # Small random entries in k[s,t]: up to three terms c*s^a*t^b with
-    # a, b <= 2 and |c| <= 3.
+    # Small random forms in s, t: up to three terms c*s^a*t^b with |c| <= 3,
+    # of degree e <= 2 on the diagonal, e_low below it and 2e - e_low above
+    # it, so that both terms of the continuant recurrence share one degree.
     field = draw(st.sampled_from([Q, F2, F5]))
     n = draw(st.integers(1, 7))
-    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                            st.integers(-3, 3), max_size=3)
+    e = draw(st.integers(0, 2))
+    e_low = draw(st.integers(0, 2 * e))
+    degrees = {-1: e_low, 0: e, 1: 2 * e - e_low}  # by column minus row
 
-    def entry():
-        return MultiPoly(field, {Monomial.from_dict({"s": a, "t": b}): field.coerce(c)
-                                 for (a, b), c in draw(terms).items()})
+    def entry(degree):
+        terms = st.dictionaries(st.integers(0, degree), st.integers(-3, 3), max_size=3)
+        return MultiPoly(field, {Monomial.from_dict({"s": degree - b, "t": b}): field.coerce(c)
+                                 for b, c in draw(terms).items()})
 
     zero = MultiPoly.zero(field)
-    return PolyMatrix([[entry() if abs(r - c) <= 1 else zero for c in range(n)]
+    return PolyMatrix([[entry(degrees[c - r]) if abs(r - c) <= 1 else zero for c in range(n)]
                        for r in range(n)])
 
 
@@ -181,7 +186,7 @@ class TestContinuant:
     @settings(max_examples=150, deadline=None)
     @given(_tridiagonal())
     def test_matches_structure_blind_determinants(self, m):
-        d = continuant(m)
+        d = continuant(m).to_multipoly()
         assert d == det(m, "bareiss")
         assert d == det(m, "cofactor")
 
@@ -192,6 +197,65 @@ class TestContinuant:
     def test_entry_outside_the_band_rejected(self):
         with pytest.raises(ValueError):
             continuant(qmat([["s", "t", "1"], ["s", "t", "s"], ["0", "s", "t"]]))
+
+    def test_entries_that_are_not_forms_rejected(self):
+        for rows in ([["s", "1"], ["1", "t^2+s"]],  # not homogeneous
+                     [["s", "1"], ["1", "x*t"]],  # not in s, t
+                     [["s", "1"], ["1", "t"]]):  # s*t - 1 has two degrees
+            with pytest.raises(ValueError):
+                continuant(qmat(rows))
+
+
+def _raise(*args):
+    raise AssertionError("the certificate must not call the continuant")
+
+
+def _with_entry(b, row, col, entry):
+    entries = [list(b.row(r)) for r in range(b.rows)]
+    entries[row][col] = entry
+    return PolyMatrix(entries)
+
+
+class TestCertifyDetB:
+    def test_w_is_the_adjugate_column(self):
+        for field in (Q, F2, F5):
+            for i in range(1, 9):
+                w = certify_det_b(build_b(i, field))
+                assert [e.to_multipoly() for e in w] == adjugate_column(build_b(i, field), 0)
+
+    def test_perturbed_superdiagonal_rejected(self):
+        b = build_b(4, Q)
+        for entry in ("2*t", "t+s", "s"):
+            with pytest.raises(ArithmeticError, match="B w = tau e_1"):
+                certify_det_b(_with_entry(b, 1, 2, qp(entry)))
+
+    def test_entry_above_the_band_rejected(self):
+        # Every nonzero entry of B is multiplied, not only its band.
+        with pytest.raises(ArithmeticError, match="B w = tau e_1"):
+            certify_det_b(_with_entry(build_b(4, Q), 0, 3, qp("s")))
+
+    def test_entry_outside_s_t_is_an_arithmetic_error(self):
+        b = build_b(4, Q)
+        for row, col in ((1, 1), (1, 2), (0, 3)):
+            with pytest.raises(ArithmeticError, match="not a form in s, t"):
+                certify_det_b(_with_entry(b, row, col, qp("x*t")))
+        with pytest.raises(ArithmeticError, match="not a form in s, t"):
+            certify_det_b(_with_entry(b, 2, 2, qp("-t^2-s^2")))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            certify_det_b(build_m(6, Q))
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=["q", "fp5"])
+    def test_independent_of_the_continuant(self, monkeypatch, field):
+        monkeypatch.setattr(matrices, "continuant", _raise)
+        minus_s = -MultiPoly.variable(field, "s")
+        for i in range(1, 21):
+            w = certify_det_b(build_b(i, field))
+            assert len(w) == i and w[-1].to_multipoly() == minus_s ** (i - 1)
+        for d in range(2, 21):
+            witness = cohomology.torsion_witness(d, field)
+            assert witness.annihilator == tau(d - 1, field)
 
 
 def _random_matrix(rng, field, n):
@@ -252,7 +316,7 @@ class TestAdjugate:
 class TestSolveSquare:
     def test_tau_multiple_of_e1(self):
         b = build_b(2, Q)
-        rhs = [tau(2, Q), MultiPoly.zero(Q)]
+        rhs = [tau(2, Q).to_multipoly(), MultiPoly.zero(Q)]
         cert = solve_square(b, rhs)
         assert cert.is_solution
         assert list(cert.solution) == [qp("-t-s"), qp("-s")]
@@ -282,7 +346,7 @@ class TestSolveSquare:
     @pytest.mark.parametrize("d", range(3, 11))
     def test_residue_classes_are_torsion_and_nonzero(self, d):
         b = build_b(d - 1, Q)
-        t_poly = tau(d - 1, Q)
+        t_poly = tau(d - 1, Q).to_multipoly()
         zero = MultiPoly.zero(Q)
         for j in range(d - 1):
             e_j = [zero] * (d - 1)
