@@ -153,7 +153,7 @@ class Field:
 
 
 def _require_same_field(a: Field, b: Field) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatchError(f"field mismatch: {a.spec} vs {b.spec}")
 
 

@@ -19,6 +19,7 @@ canonically, so reports do not depend on the random path taken.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +28,7 @@ from typing import Optional, Sequence, Union
 from .arith import Field, Form, UniPoly, gcd_univariate, sigma, tau
 
 _EDF_MAX_TRIES = 512
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes -> struct format code, ascending
 
 
 # ----------------------------------------------------------------------------
@@ -240,15 +242,78 @@ def _cyclotomic_trial_division(w: UniPoly) -> list:
 # Factorization over a prime field.
 
 
-def _pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
-    result = UniPoly.one(base.field)
-    acc = base % mod
-    while e:
-        if e & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
-        e >>= 1
-    return result
+class _ModRing:
+    """F_p[t]/(f) for a monic f of degree n, on canonical coefficient lists
+    (ascending, length n) packed into ints by Kronecker substitution (Harvey,
+    J. Symbolic Comput. 44, 2009).  A slot of 2*bitlen(p) + bitlen(n) + 1 bits
+    holds a sum of 2n - 1 products of residues, so a product is one big-int
+    multiply; slots of 1, 2, 4 or 8 bytes pack through struct."""
+
+    def __init__(self, f: UniPoly):
+        p, n = f.field.p, f.degree()
+        self.f, self.p, self.n = f, p, n
+        w = 2 * p.bit_length() + n.bit_length() + 1
+        self.size = next((b for b in _WORDS if 8 * b >= w), -(-w // 8))
+        self.code = _WORDS.get(self.size)
+        # table[j - n] = x^j mod f for n <= j <= 2n - 2, from x^n = -(f - x^n).
+        low = [-c % p for c in f.coeffs[:n]]
+        row, self.table = low, []
+        for _ in range(n - 1):
+            self.table.append(self.pack(row))
+            row = [(a + row[-1] * b) % p for a, b in zip([0] + row, low)]
+
+    def pack(self, c: list) -> int:
+        return int.from_bytes(struct.pack(f"<{len(c)}{self.code}", *c) if self.code else
+                              b"".join(v.to_bytes(self.size, "little") for v in c), "little")
+
+    def unpack(self, packed: int, m: int) -> list:  # the first m slots, mod p
+        p, size, data = self.p, self.size, packed.to_bytes(m * self.size, "little")
+        if self.code:
+            return [v % p for v in struct.unpack(f"<{m}{self.code}", data)]
+        return [int.from_bytes(data[i:i + size], "little") % p for i in range(0, len(data), size)]
+
+    def dot(self, low: int, coeffs: list, rows: list) -> list:
+        """unpack(low + sum c_j * rows_j): reduction mod f on the table, and
+        the Frobenius map h^p = sum h_j x^(p*j) on the Frobenius rows."""
+        return self.unpack(low + sum(c * row for c, row in zip(coeffs, rows) if c), self.n)
+
+    def mul(self, a: list, b: list) -> list:
+        product, split = self.pack(a) * self.pack(b), 8 * self.size * self.n
+        return self.dot(product & ((1 << split) - 1),
+                        self.unpack(product >> split, self.n - 1), self.table)
+
+    def pow(self, a: list, e: int) -> list:  # e >= 1
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+    def elem(self, u: UniPoly) -> list:
+        return list((u % self.f).coeffs + (0,) * self.n)[:self.n]
+
+    def frobenius_rows(self) -> list:
+        """f's Frobenius (Berlekamp Q-) matrix: packed rows x^(p*j) mod f, j < n."""
+        xp = self.pow(self.elem(UniPoly.gen(self.f.field)), self.p)
+        rows = [self.pack([1] + [0] * (self.n - 1))]
+        for _ in range(self.n - 1):
+            rows.append(self.pack(self.mul(self.unpack(rows[-1], self.n), xp)))
+        return rows
+
+    def conjugate_fold(self, r: list, k: int, rows: list, combine) -> list:
+        """r combined with r^p, ..., r^(p^(k-1)) by an associative, commutative
+        combine in O(log k) combines: S_2j = combine(S_j, S_j^(p^j)) and
+        S_(j+1) = combine(r, S_j^p), with S_j the fold of the first j terms."""
+        acc, j = r, 1
+        for bit in bin(k)[3:]:
+            shifted = acc
+            for _ in range(j):
+                shifted = self.dot(0, shifted, rows)
+            acc, j = combine(acc, shifted), 2 * j
+            if bit == "1":
+                acc, j = combine(r, self.dot(0, acc, rows)), j + 1
+        return acc
 
 
 def _pth_root(f: UniPoly) -> UniPoly:
@@ -289,17 +354,16 @@ def _distinct_degree(f: UniPoly) -> list:
     p = f.field.p
     x = UniPoly.gen(f.field)
     result = []
-    g = f
-    h = x % g
+    g, ring, h = f, _ModRing(f), x
     k = 0
     while g.degree() >= 2 * (k + 1):
         k += 1
-        h = _pow_mod(h, p, g)
+        h = UniPoly._exact(f.field, ring.pow(ring.elem(h), p))
         d = gcd_univariate(g, h - x)
         if not d.is_one():
             result.append((d, k))
             g = g.exact_quotient(d)
-            h = h % g
+            ring, h = _ModRing(g), h % g
     if not g.is_one():
         result.append((g, g.degree()))
     return result
@@ -313,77 +377,33 @@ def _random_poly(rng: random.Random, field: Field, degree: int) -> UniPoly:
             return poly
 
 
-def _frobenius_matrix(f: UniPoly) -> list:
-    """The Frobenius (Berlekamp Q-) matrix of f: rows x^(p*j) mod f for
-    j < deg f, built from x^p mod f by repeated multiplication.  When
-    p < deg f, x^p is a single term and each row costs one shift and one
-    reduction."""
-    xp = _pow_mod(UniPoly.gen(f.field), f.field.p, f)
-    rows = [UniPoly.one(f.field)]
-    for _ in range(1, f.degree()):
-        rows.append((xp * rows[-1]) % f)
-    return rows
-
-
-def _frobenius(h: UniPoly, rows: list) -> UniPoly:
-    """h^p mod f for h reduced mod f, given f's Frobenius matrix: over F_p
-    the coefficients are their own p-th powers, so h^p = sum h_j x^(p*j)."""
-    out = [0] * len(rows)
-    for c, row in zip(h.coeffs, rows):
-        if c:
-            for j, a in enumerate(row.coeffs):
-                out[j] += c * a
-    return UniPoly._exact(h.field, out)
-
-
-def _conjugate_fold(r: UniPoly, k: int, rows: list, combine) -> UniPoly:
-    """r combined with r^p, ..., r^(p^(k-1)) by an associative, commutative
-    combine, in O(log k) combines: with S_j the fold of the first j terms,
-    S_2j = combine(S_j, S_j^(p^j)) and S_(j+1) = combine(r, S_j^p)."""
-    acc, j = r, 1
-    for bit in bin(k)[3:]:
-        shifted = acc
-        for _ in range(j):
-            shifted = _frobenius(shifted, rows)
-        acc, j = combine(acc, shifted), 2 * j
-        if bit == "1":
-            acc, j = combine(r, _frobenius(acc, rows)), j + 1
-    return acc
-
-
-def _equal_degree(f: UniPoly, k: int, rng: random.Random,
-                  frobenius: Optional[list] = None) -> list:
+def _equal_degree(f: UniPoly, k: int, rng: random.Random) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-k
     irreducibles into the irreducibles themselves.
 
-    ``frobenius`` is the Frobenius matrix of a multiple of f (the block f was
-    split from); its rows reduced mod f are f's own.  For odd p the splitting
-    power is r^((p^k-1)/2) = (r * r^p * ... * r^(p^(k-1)))^((p-1)/2), and for
-    p = 2 the trace r + r^2 + ... + r^(2^(k-1)); each r^(p^j) is a
-    vector-matrix product (von zur Gathen and Shoup, 1992)."""
+    For odd p the splitting power is r^((p^k-1)/2) =
+    (r * r^p * ... * r^(p^(k-1)))^((p-1)/2), and for p = 2 the trace
+    r + r^2 + ... + r^(2^(k-1)); each r^(p^j) is a vector-matrix product
+    with f's Frobenius matrix (von zur Gathen and Shoup, 1992)."""
     n = f.degree()
     if n == k:
         return [f]
     p = f.field.p
-    if k == 1:
-        rows = None
-    elif frobenius is None:
-        rows = _frobenius_matrix(f)
-    else:
-        rows = [row % f for row in frobenius[:n]]
+    ring = _ModRing(f)
+    rows = ring.frobenius_rows() if k > 1 else None
     for _ in range(_EDF_MAX_TRIES):
         r = _random_poly(rng, f.field, n - 1)
         g = gcd_univariate(f, r)
         if g.degree() == 0:
+            r = ring.elem(r)
             if p == 2:
-                acc = _conjugate_fold(r, k, rows, lambda a, b: a + b)
+                acc = ring.conjugate_fold(r, k, rows, lambda a, b: [u ^ v for u, v in zip(a, b)])
             else:
-                norm = _conjugate_fold(r, k, rows, lambda a, b: (a * b) % f)
-                acc = _pow_mod(norm, (p - 1) // 2, f) - 1
-            g = gcd_univariate(f, acc)
+                acc = ring.pow(ring.conjugate_fold(r, k, rows, ring.mul), (p - 1) // 2)
+                acc[0] -= 1
+            g = gcd_univariate(f, UniPoly._exact(f.field, acc))
         if 0 < g.degree() < n:
-            return (_equal_degree(g, k, rng, rows)
-                    + _equal_degree(f.exact_quotient(g), k, rng, rows))
+            return _equal_degree(g, k, rng) + _equal_degree(f.exact_quotient(g), k, rng)
     raise ArithmeticError("equal-degree splitting failed to converge")
 
 
@@ -392,14 +412,14 @@ def _is_irreducible(g: UniPoly) -> bool:
     iff x^(p^k) = x mod g and gcd(x^(p^(k/r)) - x, g) = 1 for every prime r
     dividing k (Rabin, SIAM J. Comput. 9, 1980).  The Frobenius matrix is
     built here from g's own x^p mod g, so a split never certifies itself."""
-    k = g.degree()
-    rows = _frobenius_matrix(g)
-    x = UniPoly.gen(g.field) % g
+    k, t = g.degree(), UniPoly.gen(g.field)
+    ring = _ModRing(g)
+    rows, x = ring.frobenius_rows(), ring.elem(t)
     powers = [x]  # x^(p^j) mod g
     for _ in range(k):
-        powers.append(_frobenius(powers[-1], rows))
-    return powers[k] == x and all(gcd_univariate(powers[k // r] - x, g).is_one()
-                                  for r in _prime_divisors(k))
+        powers.append(ring.dot(0, powers[-1], rows))
+    return powers[k] == x and all(gcd_univariate(UniPoly._exact(g.field, powers[k // r]) - t,
+                                                 g).is_one() for r in _prime_divisors(k))
 
 
 def factor_over_prime_field(f: UniPoly, seed: Optional[int] = None) -> FactorReport:

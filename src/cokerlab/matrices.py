@@ -33,7 +33,7 @@ class PolyMatrix:
         field = rows[0][0].field
         for row in rows:
             for e in row:
-                if e.field != field:
+                if e.field is not field and e.field != field:
                     raise ValueError("matrix entries over mixed fields")
         self.field = field
         self.rows = len(rows)

@@ -106,6 +106,15 @@ class TestRingOps:
         with pytest.raises(FieldMismatchError):
             qp("t") + parse_poly("t", F7)
 
+    def test_equal_fields_built_apart_mix(self):
+        # The field check compares by value, not only by identity.
+        other = Field.prime(7)
+        assert other is not F7
+        assert parse_poly("t", F7) + parse_poly("t", other) == parse_poly("2*t", F7)
+        assert UniPoly(F7, [1, 1]) * UniPoly(other, [1, 1]) == UniPoly(F7, [1, 2, 1])
+        with pytest.raises(FieldMismatchError):
+            UniPoly(F7, [1, 1]) + UniPoly(Field.prime(5), [1, 1])
+
     def test_characteristic_two_collapse(self):
         assert parse_poly("t+s", F2) == parse_poly("-t-s", F2)
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -36,6 +37,7 @@ F2 = Field.prime(2)
 F3 = Field.prime(3)
 F7 = Field.prime(7)
 PRIMES = (2, 3, 5, 7, 11, 101)
+BIG_PRIME = 2_147_483_647
 
 
 def qp(text):
@@ -58,6 +60,16 @@ def _cyclotomic_by_division(n):
         if n % d == 0:
             poly = poly.exact_quotient(_cyclotomic_by_division(d))
     return poly
+
+
+def _pow_mod_oracle(base, e, mod):
+    # Schoolbook square and multiply on UniPoly, reducing by divmod.
+    result, base = UniPoly.one(base.field), base % mod
+    while e:
+        if e & 1:
+            result = result * base % mod
+        base, e = base * base % mod, e >> 1
+    return result
 
 
 def _pairwise_coprime_and_squarefree(polys):
@@ -269,7 +281,7 @@ class TestFactorTau:
     def test_unsplit_block_fails_rabin(self, monkeypatch, fresh_splits):
         # Phi_7 mod 2 is two cubics; a split that returns it whole must not
         # reach a report.
-        monkeypatch.setattr(factor, "_equal_degree", lambda f, k, rng, frobenius=None: [f])
+        monkeypatch.setattr(factor, "_equal_degree", lambda f, k, rng: [f])
         with pytest.raises(ArithmeticError):
             factor_tau(6, F2)
 
@@ -305,6 +317,119 @@ class TestRabin:
         f = UniPoly(F3, [1, 1, 0, 1])  # t^3+t+1 vanishes at t = 1
         assert f(1) == 0
         assert not _is_irreducible(f)
+
+    # Phi_m is irreducible mod p exactly when p has order phi(m) mod m (Lidl
+    # and Niederreiter, Thm 2.47), and t^2 - c exactly when c is not a square
+    # mod p; both conditions are checked here.  The last entry is an m with
+    # p = 1 mod m, so Phi_m splits into linear factors.
+    KNOWN = {101: ((3, 7, 11), (2, 3), 5), BIG_PRIME: ((5, 25), (-1, 3), 3)}
+
+    @pytest.mark.parametrize("p", sorted(KNOWN))
+    def test_large_fields(self, p):
+        field = Field.prime(p)
+        t = UniPoly.gen(field)
+        orders, non_squares, split = self.KNOWN[p]
+        for m in orders:
+            assert next(k for k in range(1, m) if pow(p, k, m) == 1) == totient(m)
+        assert all(pow(c, (p - 1) // 2, p) == p - 1 for c in non_squares)
+        quadratics = [t ** 2 - c for c in non_squares]
+        known = [UniPoly(field, cyclotomic(m).coeffs) for m in orders] + quadratics
+        assert all(_is_irreducible(poly) for poly in known)
+        assert not _is_irreducible(quadratics[0] * quadratics[1])
+        assert not _is_irreducible(UniPoly(field, cyclotomic(split).coeffs))
+        for poly in known:
+            assert not _is_irreducible(poly * poly)
+            assert not _is_irreducible(poly * (t - 5))
+
+    def test_builds_its_own_frobenius_data(self, monkeypatch, fresh_splits):
+        # Rabin's test takes g alone and builds one kernel from it, whose
+        # Frobenius matrix comes from x^p mod g computed there, not from a split.
+        assert list(inspect.signature(_is_irreducible).parameters) == ["g"]
+        assert list(inspect.signature(factor._ModRing.frobenius_rows).parameters) == ["self"]
+        factors = factor._split_cyclotomic(77, Field.prime(101), None)
+        built = []
+
+        class Recording(factor._ModRing):
+            def __init__(self, f):
+                super().__init__(f)
+                built.append(f)
+
+            def frobenius_rows(self):
+                built.append(("rows", self.f))
+                return super().frobenius_rows()
+
+        def no_split(*args):
+            raise AssertionError("Rabin's test called the splitter")
+
+        monkeypatch.setattr(factor, "_ModRing", Recording)
+        monkeypatch.setattr(factor, "_equal_degree", no_split)
+        assert len(factors) > 1
+        for g in factors:
+            built.clear()
+            assert _is_irreducible(g)
+            assert built == [g, ("rows", g)]
+
+
+KERNEL_PRIMES = (2, 3, 101, BIG_PRIME)
+
+
+def _kernel_oracle_check(f, a, b, h, e):
+    # The packed kernel against UniPoly schoolbook products reduced by divmod.
+    field, n = f.field, f.degree()
+    ring = factor._ModRing(f)
+
+    def elem(poly):
+        return list(poly.coeffs) + [0] * (n - len(poly.coeffs))
+
+    # A slot holds the largest value the kernel puts in it.
+    assert (2 * n - 1) * (field.p - 1) ** 2 < 1 << (8 * ring.size)
+    assert ring.elem(a) == elem(a % f)
+    assert ring.mul(ring.elem(a), ring.elem(b)) == elem(a * b % f)
+    assert ring.pow(ring.elem(a), e) == elem(_pow_mod_oracle(a, e, f))
+    xp = _pow_mod_oracle(UniPoly.gen(field), field.p, f)
+    assert ring.pow(ring.elem(UniPoly.gen(field)), field.p) == elem(xp)
+    rows = ring.frobenius_rows()
+    row = UniPoly.one(field)
+    for packed in rows:
+        assert ring.unpack(packed, n) == elem(row)
+        row = row * xp % f
+    h = h % f
+    assert ring.dot(0, elem(h), rows) == elem(_pow_mod_oracle(h, field.p, f))
+
+
+@st.composite
+def _kernel_cases(draw):
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    field = Field.prime(p)
+    n = draw(st.integers(1, 60))
+    residues = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+
+    def poly(degree):
+        return UniPoly(field, draw(st.lists(residues, min_size=degree + 1,
+                                            max_size=degree + 1)))
+
+    f = UniPoly(field, draw(st.lists(residues, min_size=n, max_size=n)) + [1])
+    return f, poly(draw(st.integers(0, 2 * n))), poly(n - 1), poly(n - 1), \
+        draw(st.integers(1, 300))
+
+
+class TestModRing:
+    @settings(max_examples=60, deadline=None)
+    @given(_kernel_cases())
+    def test_matches_schoolbook(self, case):
+        _kernel_oracle_check(*case)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize("n", [1, 3, 60])
+    def test_full_slots(self, p, n):
+        # All-(p-1) operands, and x^n = (p-1)(1 + x + ... + x^(n-1)) mod f, so
+        # every product and table entry is as large as a residue can be.
+        field = Field.prime(p)
+        full = UniPoly(field, [p - 1] * n)
+        f = UniPoly(field, [1] * n + [1])
+        _kernel_oracle_check(f, full, full, full, p - 1)
+        ring = factor._ModRing(f)
+        assert ring.table[:1] == ([] if n == 1 else [ring.pack([p - 1] * n)])
 
 
 class TestFactorHomogeneous:

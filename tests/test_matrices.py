@@ -368,6 +368,14 @@ class TestPolyMatrixType:
         with pytest.raises(ValueError):
             PolyMatrix([[qp("1"), parse_poly("1", F5)]])
 
+    def test_equal_fields_built_apart_accepted(self):
+        other = Field.prime(5)
+        assert other is not F5
+        m = PolyMatrix([[parse_poly("1", F5), parse_poly("t", other)]])
+        assert m.field == F5
+        with pytest.raises(ValueError):
+            PolyMatrix([[parse_poly("1", F5), parse_poly("t", Field.prime(7))]])
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             PolyMatrix([[qp("1"), qp("0")], [qp("1")]])
