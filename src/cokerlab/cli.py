@@ -170,39 +170,29 @@ def _factors_json(report) -> dict:
 
 
 def run_verify(config: RunConfig) -> tuple:
-    field = config.field
-    results = []
-    all_pass = True
-    dets: list = []
-    tau1 = tau(1, field)  # -t-s, the recurrence multiplier
-    st = Form(UniPoly.gen(field), 2)
-    for i in range(1, config.max_i + 1):
-        b = build_b(i, field)
-        try:
-            d = continuant(b)
-        except ValueError:
-            d = None  # an entry of B is not a form, so det B is no form either
-        dets.append(d)
-        t_i = tau(i, field)
-        identity_ok = d == t_i
-        if identity_ok:
-            # The continuant runs the recurrence checked below, so the
-            # identity is proven independently of it.
-            certify_det_b(b)
-        recurrence_ok = None
-        if i >= 3 and None not in dets[i - 3:]:
-            recurrence_ok = d == tau1 * dets[i - 2] - st * dets[i - 3]
-        ok = identity_ok and recurrence_ok is not False
-        all_pass = all_pass and ok
-        results.append({
-            "i": i,
-            "det_b": None if d is None else str(d),
-            "tau": str(t_i),
-            "identity": identity_ok,
-            "recurrence": recurrence_ok,
-        })
+    field, n = config.field, config.max_i
+    b = build_b(n, field)
+    try:
+        dets = continuant(b)  # det B_i is the leading minor D_i of B_n
+    except ValueError:  # an entry of B is not a form, so no minor is one either
+        dets = [None] * n
+    taus = [tau(i, field) for i in range(1, n + 1)]
+    if any(d == t_i for d, t_i in zip(dets, taus)):
+        # The continuant runs the recurrence checked below, so the identities
+        # are proven independently of it, by one certificate for all of them.
+        certify_det_b(b)
+    st = Form(UniPoly.gen(field), 2)  # the recurrence multipliers are tau_1, st
+    results = [{
+        "i": i,
+        "det_b": None if d is None else str(d),
+        "tau": str(t_i),
+        "identity": d == t_i,
+        "recurrence": (d == taus[0] * dets[i - 2] - st * dets[i - 3]
+                       if i >= 3 and d is not None else None),
+    } for i, (d, t_i) in enumerate(zip(dets, taus), 1)]
+    all_pass = all(r["identity"] and r["recurrence"] is not False for r in results)
     payload = _envelope(config)
-    payload.update({"max_i": config.max_i, "results": results, "all_pass": all_pass})
+    payload.update({"max_i": n, "results": results, "all_pass": all_pass})
     return payload, all_pass
 
 

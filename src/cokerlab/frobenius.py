@@ -97,13 +97,13 @@ def component_t(n: int, d: int, field: Field) -> FrobeniusComponent:
 def collapse(n: int, field: Field, seed: Optional[int]) -> tuple:
     """(relations, determinant, det_is_tau, report) at d = n + 1.
 
-    The determinant is the continuant of the collapsed relations.  When it
-    equals tau_(n-2), certify_det_b proves that on the same relations and
-    factor_tau's Rabin-proven splits factor it; any other determinant goes
+    The determinant is the continuant's last minor of the collapsed relations.
+    When it equals tau_(n-2), certify_det_b proves that on the same relations
+    and factor_tau's Rabin-proven splits factor it; any other determinant goes
     to the generic engine.  Either way report.input equals the determinant.
     """
     relations = component_t(n, n + 1, field).presentation.relations
-    determinant = continuant(relations)
+    determinant = continuant(relations)[-1]
     if determinant != tau(n - 2, field):
         return relations, determinant, False, factor_homogeneous_st(determinant, seed=seed)
     certify_det_b(relations)

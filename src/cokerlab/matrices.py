@@ -2,10 +2,11 @@
 
 The builders write the tridiagonal family A, the square tridiagonal B
 (A at x = y = 1 without its first and last columns) and the taller relation
-matrix M from one band of entries s, -(t+s), t.  Tridiagonal
-determinants come from the continuant (three-term) recurrence on binary
-forms, and certify_det_b proves det(B_n) = tau_n independently of it, from
-the closed form of adj(B_n) e_1, also on forms.  The generic determinant is fraction-free (Bareiss),
+matrix M from one band of entries s, -(t+s), t.  The continuant (three-term)
+recurrence on binary forms returns every leading principal minor of a
+tridiagonal matrix, and certify_det_b proves det(B_m) = tau_m for every
+m <= n independently of it, from the closed form of adj(B_n) e_1, also on
+forms.  The generic determinant is fraction-free (Bareiss),
 with cofactor expansion, adjugate columns and square-system membership kept
 as structure-blind oracles.
 """
@@ -186,9 +187,10 @@ def det(m: PolyMatrix, method: str = "bareiss") -> MultiPoly:
     raise ValueError(f"unknown determinant method {method!r}")
 
 
-def continuant(m: PolyMatrix) -> Form:
-    """Determinant of a tridiagonal matrix of forms in s, t by the continuant
-    recurrence D_k = m[k,k] D_(k-1) - m[k,k-1] m[k-1,k] D_(k-2), with D_0 = 1."""
+def continuant(m: PolyMatrix) -> list:
+    """Leading principal minors [D_1, ..., D_n = det m] of a tridiagonal matrix
+    of forms in s, t by the continuant recurrence
+    D_k = m[k,k] D_(k-1) - m[k,k-1] m[k-1,k] D_(k-2), with D_0 = 1."""
     if not m.is_square:
         raise ValueError("continuant of a non-square matrix")
     n = m.rows
@@ -197,20 +199,21 @@ def continuant(m: PolyMatrix) -> Form:
         raise ValueError("continuant of a matrix with entries outside its three "
                          "central diagonals")
     form = Form.from_multipoly
-    before, current = Form(UniPoly.one(m.field), 0), form(m[0, 0])
+    minors = [Form(UniPoly.one(m.field), 0), form(m[0, 0])]  # D_0, D_1
     for k in range(1, n):
-        before, current = current, (form(m[k, k]) * current
-                                    - form(m[k, k - 1]) * form(m[k - 1, k]) * before)
-    return current
+        minors.append(form(m[k, k]) * minors[k]
+                      - form(m[k, k - 1]) * form(m[k - 1, k]) * minors[k - 1])
+    return minors[1:]
 
 
 def certify_det_b(b: PolyMatrix) -> list:
-    """Prove det(b) = tau_n for n = b.rows and return w = adj(b) e_1.
+    """Prove det(b_m) = tau_m for each leading m x m block b_m of b, m <= n = b.rows,
+    and return w = adj(b) e_1.
 
     w is written down from the closed form for tridiagonal inverses (R. A.
     Usmani, Linear Algebra Appl. 212/213, 1994): w_i = (-s)^i * tau_(n-1-i),
-    with tau_0 = 1.  Two exact checks against b's own entries make it a
-    proof; ArithmeticError is raised when either fails, or when an entry is
+    with tau_0 = 1.  Three exact checks against b's own entries make it a
+    proof; ArithmeticError is raised when one fails, or when an entry is
     not a form in s, t.
     """
     if not b.is_square:
@@ -231,13 +234,20 @@ def certify_det_b(b: PolyMatrix) -> list:
         raise ArithmeticError(f"an entry of B is not a form in s, t of degree 1: {exc}") from None
     if bw[0] != tau(n, field) or any(not e.is_zero() for e in bw[1:]):
         raise ArithmeticError("B w = tau e_1 does not hold")
-    # Deleting the first row and the last column of such a B leaves a
-    # triangular matrix with s on its diagonal, so
-    # adj(B)[n-1][0] = (-s)^(n-1) = w[n-1] != 0.
+    # Deleting row 1 and column j+1 of such a B leaves a block upper
+    # triangular matrix: a j x j triangular block with s on its diagonal and
+    # the trailing m x m block T_m of B, m = n-1-j.  So adj(B)[j][0] is
+    # (-s)^j det T_m, which at j = n-1 is (-s)^(n-1) = w[n-1] != 0.
     # Since adj(B) B = det(B) I, applying adj(B) to B w = tau e_1 gives
     # det(B) w = tau adj(B) e_1, whose last component proves det B = tau != 0;
     # hence w = adj(B) e_1, and B with column i replaced by e_1 has
-    # determinant w[i]: these are the Cramer numerators of e_1.
+    # determinant w[i]: these are the Cramer numerators of e_1.  As k[s,t]
+    # is a domain, (-s)^j det T_m = w[j] = (-s)^j tau_m gives det T_m = tau_m
+    # for every m < n, and when B is tridiagonal with constant diagonals,
+    # T_m equals the leading block b_m entry by entry:
+    if (any(any(b.row(r)[r + 2:]) for r in range(n - 2))
+            or any(b[r, r] != b[0, 0] or b[r - 1, r] != b[0, 1] for r in range(1, n))):
+        raise ArithmeticError("B is not tridiagonal with constant diagonals")
     return w
 
 

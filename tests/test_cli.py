@@ -10,7 +10,7 @@ import pytest
 
 import cokerlab
 from cokerlab import cli, cohomology, factor, frobenius, matrices
-from cokerlab.arith import Field, MultiPoly, UniPoly, tau
+from cokerlab.arith import Field, MultiPoly, UniPoly, parse_poly, tau
 from cokerlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -336,13 +336,16 @@ class TestComputedOnce:
         assert main(["frobenius", "--n-set", "6,8"]) == EXIT_OK
         assert eliminations == []
         assert len(determinants) == 2
+        # verify-lemma1 makes one continuant pass, over the leading minors of B_6.
         determinants = _count_calls(monkeypatch, cli, "continuant")
         assert main(["verify-lemma1", "--max-i", "6"]) == EXIT_OK
         assert eliminations == []
-        assert len(determinants) == 6
+        assert [args[0].rows for args in determinants] == [6]
 
+    # verify-lemma1 builds and certifies B_6 once: det(B_i) for i < 6 are
+    # leading minors of it, and certify_det_b(B_6) proves them all.
     @pytest.mark.parametrize("argv, b_sizes, constructions", [
-        (["verify-lemma1", "--max-i", "6"], [1, 2, 3, 4, 5, 6], 1),
+        (["verify-lemma1", "--max-i", "6"], [6], 1),
         (["cohomology", "--d-min", "2", "--d-max", "6"], [1, 2, 3, 4, 5], 4),
         (["frobenius", "--n-set", "6..9"], [4, 5, 6, 7], 3),
     ], ids=["verify-lemma1", "cohomology", "frobenius"])
@@ -495,19 +498,34 @@ class TestCertificateFailure:
         assert "Traceback" not in captured.err
 
     def test_wrong_determinant_reports_identity_false(self, monkeypatch, capsys):
+        # verify-lemma1 builds B_3 once; perturbing a diagonal entry of it
+        # changes every leading minor that contains the entry.
         build_b = cli.build_b
 
-        def corrupted(i, field):
-            b = build_b(i, field)
-            entries = [list(b.row(r)) for r in range(i)]
-            entries[0][0] = entries[0][0] + MultiPoly.one(field)
-            return PolyMatrix(entries)
+        def corrupting(pos, entry):
+            def corrupted(i, field):
+                b = build_b(i, field)
+                entries = [list(b.row(r)) for r in range(i)]
+                entries[pos][pos] = entries[pos][pos] + parse_poly(entry, field)
+                return PolyMatrix(entries)
+            return corrupted
 
-        monkeypatch.setattr(cli, "build_b", corrupted)
+        # Not a form, or a form in B_1: every identity is false and the report
+        # says so.
+        for entry in ("1", "s"):
+            monkeypatch.setattr(cli, "build_b", corrupting(0, entry))
+            assert main(["verify-lemma1", "--max-i", "3"]) == EXIT_CHECK_FAILED
+            payload = json.loads(capsys.readouterr().out)
+            assert [r["identity"] for r in payload["results"]] == [False, False, False]
+            assert payload["all_pass"] is False
+        # A form in the last diagonal entry leaves det B_1 and det B_2 right,
+        # so the certificate of B_3 runs and rejects it.
+        monkeypatch.setattr(cli, "build_b", corrupting(2, "s"))
         assert main(["verify-lemma1", "--max-i", "3"]) == EXIT_CHECK_FAILED
-        payload = json.loads(capsys.readouterr().out)
-        assert [r["identity"] for r in payload["results"]] == [False, False, False]
-        assert payload["all_pass"] is False
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: certificate check failed:")
 
     @pytest.mark.parametrize("argv, transpose", [
         (["verify-lemma1", "--max-i", "4"], _transpose_cli_b),
@@ -522,6 +540,16 @@ class TestCertificateFailure:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: certificate check failed:")
+
+
+class TestAtTheBound:
+    @pytest.mark.parametrize("field", ["q", "fp:101"])
+    def test_verify_lemma1_at_max_i(self, capsys, field):
+        argv = ["verify-lemma1", "--max-i", str(cli.MAX_INDEX), "--field", field]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_pass"] is True
+        assert len(payload["results"]) == cli.MAX_INDEX
 
 
 class TestConsoleScript:

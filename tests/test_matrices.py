@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cokerlab import cohomology, matrices
+from cokerlab import cli, cohomology, matrices
 from cokerlab.arith import Field, Monomial, MultiPoly, parse_poly, tau
 from cokerlab.matrices import (
     MembershipCertificate,
@@ -186,9 +186,10 @@ class TestContinuant:
     @settings(max_examples=150, deadline=None)
     @given(_tridiagonal())
     def test_matches_structure_blind_determinants(self, m):
-        d = continuant(m).to_multipoly()
-        assert d == det(m, "bareiss")
-        assert d == det(m, "cofactor")
+        # Every leading principal minor, not only the determinant.
+        minors = [d.to_multipoly() for d in continuant(m)]
+        assert minors == [det(_block(m, 0, k)) for k in range(1, m.rows + 1)]
+        assert minors[-1] == det(m, "cofactor")
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -206,6 +207,11 @@ class TestContinuant:
                 continuant(qmat(rows))
 
 
+def _block(m, lo, hi):
+    # The principal block of rows and columns lo..hi-1.
+    return PolyMatrix([m.row(r)[lo:hi] for r in range(lo, hi)])
+
+
 def _raise(*args):
     raise AssertionError("the certificate must not call the continuant")
 
@@ -218,10 +224,52 @@ def _with_entry(b, row, col, entry):
 
 class TestCertifyDetB:
     def test_w_is_the_adjugate_column(self):
+        # Deleting row 1 and column j+1 of B_n leaves a block upper triangular
+        # matrix, so adj(B_n)[j][0] = (-s)^j det T_m for the trailing m x m
+        # block T_m, m = n-1-j, and T_m = B_m: one certificate covers every B_m.
         for field in (Q, F2, F5):
-            for i in range(1, 9):
-                w = certify_det_b(build_b(i, field))
-                assert [e.to_multipoly() for e in w] == adjugate_column(build_b(i, field), 0)
+            minus_s = -MultiPoly.variable(field, "s")
+            for n in range(1, 9):
+                b = build_b(n, field)
+                w = [e.to_multipoly() for e in certify_det_b(b)]
+                assert w == adjugate_column(b, 0)
+                for j in range(n):
+                    m = n - 1 - j
+                    if m:
+                        assert _block(b, j + 1, n) == build_b(m, field)
+                    minor = det(build_b(m, field)) if m else MultiPoly.one(field)
+                    assert w[j] == minus_s ** j * minor
+
+    @pytest.mark.parametrize("field", [Q, F2, F5], ids=["q", "fp2", "fp5"])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_non_constant_diagonal_rejected(self, field, n):
+        # Adding s at (n-2, n-2) and tau_1 at (n-2, n-1) keeps B' w = tau e_1
+        # and det T_m = tau_m for every trailing block, but T_2 != B_2 and the
+        # leading block of size n-1 has determinant tau_(n-1) + s tau_(n-2):
+        # only the band check stops the certificate from covering it.
+        b = build_b(n, field)
+        s = MultiPoly.variable(field, "s")
+        entries = [list(b.row(r)) for r in range(n)]
+        entries[n - 2][n - 2] = entries[n - 2][n - 2] + s
+        entries[n - 2][n - 1] = entries[n - 2][n - 1] + tau(1, field).to_multipoly()
+        patched = PolyMatrix(entries)
+        w = adjugate_column(b, 0)
+        assert patched.mul_vector(w) == b.mul_vector(w)
+        assert det(_block(patched, n - 2, n)) == tau(2, field).to_multipoly()
+        assert _block(patched, n - 2, n) != build_b(2, field)
+        if n > 2:
+            assert det(_block(patched, 0, n - 1)) != tau(n - 1, field).to_multipoly()
+        with pytest.raises(ArithmeticError, match="constant diagonals"):
+            certify_det_b(patched)
+
+    def test_entries_above_the_band_rejected_by_the_band_check(self):
+        # Adding row 2 to row 1 keeps B' w = tau e_1 and every trailing block,
+        # but changes B_1 and puts t above the band.
+        b = build_b(5, Q)
+        entries = [list(b.row(r)) for r in range(5)]
+        entries[0] = [e + f for e, f in zip(b.row(0), b.row(1))]
+        with pytest.raises(ArithmeticError, match="constant diagonals"):
+            certify_det_b(PolyMatrix(entries))
 
     def test_perturbed_superdiagonal_rejected(self):
         b = build_b(4, Q)
@@ -256,6 +304,13 @@ class TestCertifyDetB:
         for d in range(2, 21):
             witness = cohomology.torsion_witness(d, field)
             assert witness.annihilator == tau(d - 1, field)
+        # A whole verify-lemma1 run certifies B_20 once; cli keeps its own
+        # binding of the continuant, so only the certificate would raise.
+        certified = []
+        certify = matrices.certify_det_b
+        monkeypatch.setattr(cli, "certify_det_b", lambda b: certified.append(b.rows) or certify(b))
+        assert cli.main(["verify-lemma1", "--max-i", "20", "--field", field.spec]) == cli.EXIT_OK
+        assert certified == [20]
 
 
 def _random_matrix(rng, field, n):
