@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import isqrt
 from typing import Iterator, Mapping, Optional, Union
@@ -734,13 +735,25 @@ class UniPoly:
 
 
 def gcd_univariate(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm; gcd(f, 0) is monic(f)."""
+    """Monic gcd by the Euclidean algorithm; gcd(f, 0) is monic(f).  Remainders
+    stay exact coefficient lists, each made monic as it is brought into the field."""
     a._check(b)
-    if a.is_zero() and b.is_zero():
+    f, p = a.field, a.field.p
+    rem, divisor = list(a.coeffs), list(b.coeffs)
+    while divisor:
+        inv = f.inv(f.coerce(divisor[-1]))
+        divisor = [c * inv % p for c in divisor] if p else [c * inv for c in divisor]
+        n, lower = len(divisor) - 1, divisor[:-1]
+        # Pop the top of rem while it is above the divisor's degree or vanishes.
+        while rem and (len(rem) > n or not f.coerce(rem[-1])):
+            lead = f.coerce(rem.pop())
+            if lead:
+                for j, c in enumerate(lower, len(rem) - n):
+                    rem[j] -= lead * c
+        rem, divisor = divisor, rem
+    if not rem:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return UniPoly._exact(f, rem).monic()
 
 
 # ----------------------------------------------------------------------------
@@ -823,6 +836,8 @@ class Form:
     def __hash__(self) -> int:
         return hash((self.u, None if self.is_zero() else self.degree))
 
+    # Memoized by value: equal forms built apart are rendered once per process.
+    @lru_cache(maxsize=None)
     def __str__(self) -> str:
         d, coeffs = self.degree, self.u.coeffs
         return _format_terms(self.field, [

@@ -49,6 +49,7 @@ class FactorReport:
 
     def __post_init__(self) -> None:
         homogeneous = isinstance(self.input, Form)
+        # unit * prod(u^(mult-1)) * distinct multiplies each simple factor once.
         product = UniPoly.constant(self.input.field, self.unit)
         distinct = UniPoly.one(self.input.field)
         degree = s_divisible = 0
@@ -58,11 +59,13 @@ class FactorReport:
             if not _is_canonical_factor(poly):
                 raise ValueError(f"factor {poly} is not canonically normalized")
             u = poly.u if homogeneous else poly
-            product = product * u ** mult
             distinct = distinct * u
+            if mult > 1:
+                product = product * u ** (mult - 1)
             if homogeneous:
                 degree += mult * poly.degree
                 s_divisible += u.degree() < poly.degree
+        product = product * distinct
         # A form carries its degree, so a dropped power of s shows here.
         if (Form(product, degree) if homogeneous else product) != self.input:
             raise ArithmeticError("factorization does not reassemble the input")
@@ -74,9 +77,6 @@ class FactorReport:
     def factor_strings(self) -> list:
         return [str(poly) for poly, _ in self.factors]
 
-    def distinct_factors(self) -> set:
-        return {poly for poly, _ in self.factors}
-
 
 def _is_squarefree(f: UniPoly) -> bool:
     """gcd(f, f') = 1; over F_p, f' = 0 leaves gcd f.  For f in Z[t] with
@@ -86,7 +86,7 @@ def _is_squarefree(f: UniPoly) -> bool:
     proves f squarefree, and any other modular result is settled over Q."""
     if (f.field.is_rationals and all(isinstance(c, int) for c in f.coeffs)
             and f.lc % _CHECK_FIELD.p):
-        reduced = UniPoly(_CHECK_FIELD, f.coeffs)
+        reduced = UniPoly._exact(_CHECK_FIELD, list(f.coeffs))
         if gcd_univariate(reduced, reduced.derivative()).is_one():
             return True
     return gcd_univariate(f, f.derivative()).is_one()
@@ -144,7 +144,7 @@ def accumulate_reports(indices: Sequence[int], reports: Sequence[FactorReport]) 
     new_counts = []
     cumulative = []
     for rep in reports:
-        fresh = rep.distinct_factors() - seen
+        fresh = {poly for poly, _ in rep.factors} - seen
         seen |= fresh
         new_counts.append(len(fresh))
         cumulative.append(len(seen))

@@ -372,6 +372,31 @@ class TestDerivative:
             assert (UniPoly.gen(field) ** p).derivative().is_zero()
 
 
+GCD_FIELDS = (Q, F2, F3, F101, Field.prime(2_147_483_647))
+
+
+def _euclid_by_divmod(a, b):
+    # Reference: the textbook Euclidean algorithm on UniPoly divmod.
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+@st.composite
+def _gcd_operands(draw):
+    # Two multiples of one drawn common factor, so that most gcds are not 1;
+    # a cofactor may be zero, and b may be a itself.
+    field = draw(st.sampled_from(GCD_FIELDS))
+    if field.is_rationals:
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        coeff = st.integers(0, field.p - 1)
+    lead = coeff.filter(bool)
+    common = UniPoly(field, draw(st.lists(coeff, max_size=3)) + [draw(lead)])
+    a, b = (UniPoly(field, draw(st.lists(coeff, max_size=5))) * common for _ in "ab")
+    return (a, a) if draw(st.booleans()) else (a, b)
+
+
 class TestGcdUnivariate:
     def test_sigma5_separable_mod_7(self):
         s5 = sigma(5, F7)
@@ -391,6 +416,28 @@ class TestGcdUnivariate:
     def test_gcd_of_zeros_rejected(self):
         with pytest.raises(ValueError):
             gcd_univariate(UniPoly.zero(Q), UniPoly.zero(Q))
+
+    @pytest.mark.parametrize("field", GCD_FIELDS, ids=lambda f: f.spec)
+    def test_zero_and_equal_operands_give_the_monic_operand(self, field):
+        f = UniPoly(field, [3, 0, 5, 2])
+        zero = UniPoly.zero(field)
+        for a, b in ((f, zero), (zero, f), (f, f)):
+            g = gcd_univariate(a, b)
+            assert g == f.monic() == _euclid_by_divmod(a, b)
+            assert g.lc == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gcd_operands())
+    def test_matches_euclid_on_divmod(self, operands):
+        a, b = operands
+        if a.is_zero() and b.is_zero():
+            with pytest.raises(ValueError):
+                gcd_univariate(a, b)
+            return
+        g = gcd_univariate(a, b)
+        assert g == _euclid_by_divmod(a, b) == gcd_univariate(b, a)
+        assert g.lc == 1
+        assert (a % g).is_zero() and (b % g).is_zero()
 
 
 class TestUniPolyBasics:

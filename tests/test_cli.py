@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import pytest
 
 import cokerlab
 from cokerlab import cli, cohomology, factor, frobenius, matrices
-from cokerlab.arith import Field, MultiPoly, UniPoly, parse_poly, tau
+from cokerlab.arith import Field, Form, MultiPoly, UniPoly, parse_poly, tau
 from cokerlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -23,6 +24,7 @@ from cokerlab.cohomology import Presentation
 from cokerlab.matrices import PolyMatrix
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+TRACER = Path(__file__).parents[1] / "bench" / "tracer.py"
 # Child processes import the same cokerlab package as this test process.
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cokerlab.__file__).parents[1])}
 
@@ -428,6 +430,20 @@ class TestComputedOnce:
         assert main(["cohomology", "--d-min", "2", "--d-max", "6"]) == EXIT_OK
         assert set(callers) == {"build_a", "component_dd"}
 
+    def test_each_distinct_form_rendered_once(self, capsys):
+        # Forms render through a memo keyed by value: det(B_i) and tau_i are
+        # equal forms built apart, and one Phi_m recurs in many reports.
+        renders = Form.__str__.cache_info
+        Form.__str__.cache_clear()
+        assert main(["verify-lemma1", "--max-i", "20"]) == EXIT_OK
+        assert renders().misses == 20
+        capsys.readouterr()
+        Form.__str__.cache_clear()
+        assert main(["factors", "--set", "1..110"]) == EXIT_OK
+        records = json.loads(capsys.readouterr().out)["growth"]["records"]
+        assert renders().misses == len(
+            {f["factor"] for r in records for f in r["factors"]}) == 110
+
     @pytest.mark.parametrize("field", ["q", "fp:7"])
     def test_at_most_one_gcd_per_report(self, monkeypatch, capsys, field):
         # A report proves its factors coprime by one squarefree test of their
@@ -550,6 +566,34 @@ class TestAtTheBound:
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_pass"] is True
         assert len(payload["results"]) == cli.MAX_INDEX
+
+    def test_factors_at_max_index(self, capsys):
+        assert main(["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", "q"]) == EXIT_OK
+        records = json.loads(capsys.readouterr().out)["growth"]["records"]
+        assert len(records) == cli.MAX_INDEX
+
+
+class TestTracerContract:
+    def test_every_traced_op_has_a_binding(self):
+        # The benchmark's tracer wraps the functions its OPS table names and
+        # reports an op none of whose names resolves as absent, so moving or
+        # renaming one of them drops that op's per-layer metrics.  The table
+        # is read without installing the tracer.
+        spec = importlib.util.spec_from_file_location("cokerlab_bench_tracer", TRACER)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+
+        def resolves(site):
+            module_name, _, attr = site.partition(":")
+            owner = sys.modules.get(f"cokerlab.{module_name}")
+            *path, name = attr.split(".")
+            for part in path:
+                owner = getattr(owner, part, None)
+            return owner is not None and vars(owner).get(name) is not None
+
+        assert "cokerlab.cli" in sys.modules
+        assert [op for op, sites in tracer.OPS.items()
+                if not any(map(resolves, sites))] == []
 
 
 class TestConsoleScript:

@@ -513,6 +513,24 @@ class TestFactorReportInvariants:
         with pytest.raises(ArithmeticError):
             FactorReport(input=t ** 7 - 1, unit=1, factors=((t - 1, 1),) * 7)
 
+    # Repeated factors are multiplied in apart from the product of the distinct
+    # ones; each of these lists reassembles wrongly or shares a factor.
+    @pytest.mark.parametrize("case", ["square_listed_once", "simple_listed_twice",
+                                      "repeated_factor_dropped"])
+    @pytest.mark.parametrize("forms", [False, True], ids=["unipoly", "form"])
+    def test_rejects_wrong_multiplicities_over_f7(self, case, forms):
+        t = UniPoly.gen(F7)
+        product, factors = {
+            "square_listed_once": (t ** 2 * (t + 1) ** 2, ((t, 2), ((t + 1) ** 2, 1))),
+            "simple_listed_twice": (t * (t + 1), ((t, 2), (t + 1, 1))),
+            "repeated_factor_dropped": (t ** 2 * (t + 1), ((t + 1, 1),)),
+        }[case]
+        if forms:
+            product = Form(product, product.degree())
+            factors = tuple((Form(poly, poly.degree()), mult) for poly, mult in factors)
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=product, unit=1, factors=factors)
+
     @settings(max_examples=300, deadline=None)
     @given(_canonical_factor_lists(), st.booleans())
     def test_accepts_exactly_the_pairwise_coprime_squarefree_lists(self, pairs, forms):
