@@ -263,7 +263,7 @@ def run_frobenius(config: RunConfig) -> tuple:
     records = []
     reports = []
     for n in config.n_set:
-        relations, determinant, det_is_tau, report = collapse(n, config.field, config.seed)
+        relations, determinant, report = collapse(n, config.field, config.seed)
         reports.append(report)
         records.append({
             "n": n,
@@ -273,17 +273,16 @@ def run_frobenius(config: RunConfig) -> tuple:
             "det": str(determinant),
             # component_t raises unless the relations at d = n + 1 equal B_(n-2).
             "collapse_matches_b": True,
-            "det_equals_tau": det_is_tau,
+            # collapse raises unless certify_det_b proves det = tau_(n-2).
+            "det_equals_tau": True,
             "factors": _factors_json(report),
         })
     growth = accumulate_reports(config.n_set, reports)
     for record, new, cum in zip(records, growth.new_distinct, growth.cumulative_distinct):
         record.update(new_witnesses=new, cumulative_witnesses=cum)
-    all_pass = all(r["det_equals_tau"] for r in records)
     payload = _envelope(config)
-    payload.update({"n_set": list(config.n_set), "records": records,
-                    "all_pass": all_pass})
-    return payload, all_pass
+    payload.update({"n_set": list(config.n_set), "records": records, "all_pass": True})
+    return payload, True
 
 
 _RUNNERS = {

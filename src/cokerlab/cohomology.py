@@ -151,13 +151,12 @@ def matrix_of_f(d: int, field: Field) -> PolyMatrix:
     source = inverse_basis(d + 2)
     target = inverse_basis(d)
     position = {im: r for r, im in enumerate(target)}
-    zero = MultiPoly.zero(field)
-    entries = [[zero] * len(source) for _ in range(len(target))]
+    entries = [{} for _ in target]
     for c, im in enumerate(source):
         image = mult_by_f(InverseElement.basis_element(field, im))
         for im2, poly in image.terms.items():
             entries[position[im2]][c] = poly
-    return PolyMatrix(entries)
+    return PolyMatrix.from_nonzeros(field, len(source), entries)
 
 
 # ----------------------------------------------------------------------------
@@ -197,10 +196,9 @@ def poly_bidegree(poly: MultiPoly, j: int) -> Bidegree:
 def column_bidegree(matrix: PolyMatrix, col: int) -> Bidegree:
     """Common bidegree of a matrix column, reading entry rows as basis slots."""
     degrees = set()
-    for r in range(matrix.rows):
-        entry = matrix[r, col]
-        if not entry.is_zero():
-            degrees.add(poly_bidegree(entry, r + 1))
+    for r, row in enumerate(matrix.nonzeros):
+        if col in row:
+            degrees.add(poly_bidegree(row[col], r + 1))
     if len(degrees) != 1:
         raise ValueError("column is not bihomogeneous")
     return degrees.pop()
@@ -247,22 +245,22 @@ def component_dd(a: PolyMatrix) -> Presentation:
     generators = tuple(
         Generator(Monomial.from_dict({"x": j, "y": d - j}), j, Bidegree(d, d))
         for j in range(1, d))
-    rows = d - 1
-    zero = MultiPoly.zero(field)
-    relations = [[zero] * (d - 1) for _ in range(rows)]
-    for k in range(2, d + 1):
-        scale = MultiPoly.term(field, 1,
-                               Monomial.from_dict({"x": k - 2, "y": d - k}))
-        for r in range(rows):
-            scaled = a[r, k - 1] * scale
-            if scaled.is_zero():
+    # Column k of a (1-based, 2 <= k <= d) becomes relation k - 1, scaled by
+    # x^(k-2) * y^(d-k).  Every stored entry of a is read, not only its band,
+    # so comparing the relations with B stays a check of a.
+    scales = [MultiPoly.term(field, 1, Monomial.from_dict({"x": k - 2, "y": d - k}))
+              for k in range(2, d + 1)]
+    relations = [{} for _ in generators]
+    for r, row in enumerate(a.nonzeros):
+        gen_mono = MultiPoly.term(field, 1, generators[r].monomial)
+        for c, entry in row.items():
+            if not 1 <= c <= d - 1:
                 continue
-            gen_mono = MultiPoly.term(field, 1, generators[r].monomial)
-            coefficient = exact_divide(scaled, gen_mono)
+            coefficient = exact_divide(entry * scales[c - 1], gen_mono)
             if coefficient is None or not coefficient.variables() <= {"s", "t"}:
                 raise ArithmeticError("relation column does not land on the generators")
-            relations[r][k - 2] = coefficient
-    return Presentation(generators, PolyMatrix(relations))
+            relations[r][c - 1] = coefficient
+    return Presentation(generators, PolyMatrix.from_nonzeros(field, d - 1, relations))
 
 
 # ----------------------------------------------------------------------------

@@ -4,7 +4,7 @@ For 4 < d < n the degree-d component is presented by the tall relation
 matrix; at d = n the first and last generator rows drop, and at d = n + 1
 two rows drop at each end and the presentation collapses onto the square
 tridiagonal matrix, whose determinant drives the distinct-witness growth.
-collapse() takes that determinant and its certificate on the one matrix.
+collapse() certifies that determinant as tau_(n-2) on the one matrix, or raises.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .arith import Field, Monomial, MultiPoly, tau
 from .cohomology import Generator, Presentation
-from .factor import GrowthReport, accumulate_reports, factor_homogeneous_st, factor_tau
+from .factor import GrowthReport, accumulate_reports, factor_tau
 from .matrices import build_b, build_m, certify_det_b, continuant
 
 CASE_BELOW = "below"
@@ -95,19 +95,19 @@ def component_t(n: int, d: int, field: Field) -> FrobeniusComponent:
 
 
 def collapse(n: int, field: Field, seed: Optional[int]) -> tuple:
-    """(relations, determinant, det_is_tau, report) at d = n + 1.
+    """(relations, determinant, report) at d = n + 1.
 
     The determinant is the continuant's last minor of the collapsed relations.
-    When it equals tau_(n-2), certify_det_b proves that on the same relations
-    and factor_tau's Rabin-proven splits factor it; any other determinant goes
-    to the generic engine.  Either way report.input equals the determinant.
+    ArithmeticError is raised unless it equals tau_(n-2); certify_det_b then
+    proves that on the same relations, and factor_tau's Rabin-proven splits
+    factor it, so report.input equals the determinant.
     """
     relations = component_t(n, n + 1, field).presentation.relations
     determinant = continuant(relations)[-1]
     if determinant != tau(n - 2, field):
-        return relations, determinant, False, factor_homogeneous_st(determinant, seed=seed)
+        raise ArithmeticError(f"the collapsed determinant at n = {n} is not tau_{n - 2}")
     certify_det_b(relations)
-    return relations, determinant, True, factor_tau(n - 2, field, seed)
+    return relations, determinant, factor_tau(n - 2, field, seed)
 
 
 def witness_growth(n_set: Sequence[int], field: Field,
@@ -118,4 +118,4 @@ def witness_growth(n_set: Sequence[int], field: Field,
     values = list(n_set)
     if any(n < 6 for n in values):
         raise ValueError("witness_growth requires every n >= 6")
-    return accumulate_reports(values, [collapse(n, field, seed)[3] for n in values])
+    return accumulate_reports(values, [collapse(n, field, seed)[2] for n in values])

@@ -1,14 +1,14 @@
 """Matrix builders and exact linear algebra over the polynomial ring.
 
-The builders write the tridiagonal family A, the square tridiagonal B
+A PolyMatrix stores only its nonzero entries, so its scans cost one step per
+nonzero.  The builders write the tridiagonal A, the square tridiagonal B
 (A at x = y = 1 without its first and last columns) and the taller relation
 matrix M from one band of entries s, -(t+s), t.  The continuant (three-term)
 recurrence on binary forms returns every leading principal minor of a
 tridiagonal matrix, and certify_det_b proves det(B_m) = tau_m for every
 m <= n independently of it, from the closed form of adj(B_n) e_1, also on
-forms.  The generic determinant is fraction-free (Bareiss),
-with cofactor expansion, adjugate columns and square-system membership kept
-as structure-blind oracles.
+forms.  det() is fraction-free (Bareiss); cofactor expansion, adjugate columns
+and square-system membership are kept as structure-blind oracles.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from .arith import Field, Form, MultiPoly, UniPoly, exact_divide, tau
 
 
 class PolyMatrix:
-    """Rectangular matrix of MultiPoly entries over a common field."""
+    """Rectangular matrix of MultiPoly entries over a common field.  Only
+    nonzero entries are stored: ``nonzeros[i]`` maps column j to entry (i, j)
+    for each nonzero entry of row i, and callers never mutate these maps."""
 
-    __slots__ = ("field", "rows", "cols", "_entries")
+    __slots__ = ("field", "rows", "cols", "nonzeros")
 
     def __init__(self, entries: Sequence[Sequence[MultiPoly]]):
         rows = [tuple(row) for row in entries]
@@ -32,80 +34,94 @@ class PolyMatrix:
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
         field = rows[0][0].field
-        for row in rows:
-            for e in row:
-                if e.field is not field and e.field != field:
-                    raise ValueError("matrix entries over mixed fields")
+        if any(e.field is not field and e.field != field for row in rows for e in row):
+            raise ValueError("matrix entries over mixed fields")
+        self._fill(field, width, [dict(enumerate(row)) for row in rows])
+
+    @classmethod
+    def from_nonzeros(cls, field: Field, cols: int, rows: Sequence[dict]) -> PolyMatrix:
+        """The matrix over ``field`` with ``cols`` columns whose row i is the
+        map ``rows[i]`` from column to entry; zero entries are dropped."""
+        if not rows or cols < 1:
+            raise ValueError("matrix must have positive dimensions")
+        m = cls.__new__(cls)
+        m._fill(field, cols, rows)
+        return m
+
+    def _fill(self, field: Field, cols: int, rows: Sequence[dict]) -> None:
         self.field = field
         self.rows = len(rows)
-        self.cols = width
-        self._entries = tuple(rows)
+        self.cols = cols
+        self.nonzeros = tuple({j: e for j, e in row.items() if not e.is_zero()}
+                              for row in rows)
 
     def __getitem__(self, key) -> MultiPoly:
         i, j = key
-        return self._entries[i][j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("matrix index out of range")
+        e = self.nonzeros[i].get(j)
+        return MultiPoly.zero(self.field) if e is None else e
 
-    def row(self, i: int) -> tuple:
-        return self._entries[i]
+    def row(self, i: int) -> list:
+        zero = MultiPoly.zero(self.field)
+        return [self.nonzeros[i].get(j, zero) for j in range(self.cols)]
 
     def column(self, j: int) -> list:
-        return [row[j] for row in self._entries]
+        zero = MultiPoly.zero(self.field)
+        return [row.get(j, zero) for row in self.nonzeros]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self._entries for e in row)
+        return not any(self.nonzeros)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self._entries == other._entries
+        return (self.cols == other.cols and self.nonzeros == other.nonzeros
+                and self.field == other.field)
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash((self.cols, tuple(frozenset(row.items()) for row in self.nonzeros)))
 
     def mul_vector(self, v: Sequence[MultiPoly]) -> list:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
         zero = MultiPoly.zero(self.field)
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            for k in range(self.cols):
-                a = self._entries[i][k]
-                if a.is_zero() or v[k].is_zero():
-                    continue
-                acc = acc + a * v[k]
-            out.append(acc)
-        return out
+        return [sum((e * v[j] for j, e in row.items()), zero) for row in self.nonzeros]
 
     def substitute(self, values) -> PolyMatrix:
-        return PolyMatrix([[e if e.is_zero() else e.substitute(values) for e in row]
-                           for row in self._entries])
+        return PolyMatrix.from_nonzeros(
+            self.field, self.cols,
+            [{j: e.substitute(values) for j, e in row.items()} for row in self.nonzeros])
 
     def without_rows(self, drop) -> PolyMatrix:
         dropped = set(drop)
-        return PolyMatrix([row for i, row in enumerate(self._entries) if i not in dropped])
+        return PolyMatrix.from_nonzeros(
+            self.field, self.cols,
+            [row for i, row in enumerate(self.nonzeros) if i not in dropped])
 
     def without_columns(self, drop) -> PolyMatrix:
         dropped = set(drop)
-        return PolyMatrix([[e for j, e in enumerate(row) if j not in dropped]
-                           for row in self._entries])
+        kept = {j: k for k, j in enumerate(j for j in range(self.cols) if j not in dropped)}
+        return PolyMatrix.from_nonzeros(
+            self.field, len(kept),
+            [{kept[j]: e for j, e in row.items() if j in kept} for row in self.nonzeros])
 
     def replace_column(self, j: int, v: Sequence[MultiPoly]) -> PolyMatrix:
         if len(v) != self.rows:
             raise ValueError("replacement column has wrong length")
-        return PolyMatrix([[v[i] if k == j else e for k, e in enumerate(row)]
-                           for i, row in enumerate(self._entries)])
+        return PolyMatrix.from_nonzeros(self.field, self.cols,
+                                        [{**row, j: v_i} for row, v_i in zip(self.nonzeros, v)])
 
     def to_strings(self) -> list:
-        return [[str(e) for e in row] for row in self._entries]
+        return [[str(row[j]) if j in row else "0" for j in range(self.cols)]
+                for row in self.nonzeros]
 
     def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
-                         for row in self._entries)
+        return "\n".join("[" + ", ".join(row) + "]" for row in self.to_strings())
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols} over {self.field.spec})"
@@ -127,15 +143,10 @@ def build_a(dminus1: int, field: Field) -> PolyMatrix:
     t*y^2 in columns i, i+1, i+2 (1-based)."""
     if dminus1 < 1:
         raise ValueError("build_a requires dminus1 >= 1")
-    zero = MultiPoly.zero(field)
     x, y = MultiPoly.variable(field, "x"), MultiPoly.variable(field, "y")
     diag = [e * m for e, m in zip(_band(field), (x * x, x * y, y * y))]
-    out = []
-    for i in range(dminus1):
-        row = [zero] * (dminus1 + 2)
-        row[i:i + 3] = diag
-        out.append(row)
-    return PolyMatrix(out)
+    return PolyMatrix.from_nonzeros(field, dminus1 + 2,
+                                    [dict(zip(range(i, i + 3), diag)) for i in range(dminus1)])
 
 
 def build_b(i: int, field: Field) -> PolyMatrix:
@@ -145,12 +156,8 @@ def build_b(i: int, field: Field) -> PolyMatrix:
     if i < 1:
         raise ValueError("build_b requires i >= 1")
     band = _band(field)
-    zero = MultiPoly.zero(field)
-    out = [[zero] * i for _ in range(i)]
-    for r in range(i):
-        for c in range(max(r - 1, 0), min(r + 2, i)):
-            out[r][c] = band[c - r + 1]
-    return PolyMatrix(out)
+    return PolyMatrix.from_nonzeros(field, i, [
+        {c: band[c - r + 1] for c in range(max(r - 1, 0), min(r + 2, i))} for r in range(i)])
 
 
 def build_m(d: int, field: Field) -> PolyMatrix:
@@ -158,33 +165,26 @@ def build_m(d: int, field: Field) -> PolyMatrix:
     j+1, j+2, j+3 (1-based); its first and last rows are zero."""
     if d <= 4:
         raise ValueError("build_m requires d > 4")
-    zero = MultiPoly.zero(field)
     s, mts, t = _band(field)
-    out = [[zero] * (d - 3) for _ in range(d + 1)]
+    out = [{} for _ in range(d + 1)]
     for j in range(d - 3):
         out[j + 1][j] = t
         out[j + 2][j] = mts
         out[j + 3][j] = s
-    return PolyMatrix(out)
+    return PolyMatrix.from_nonzeros(field, d - 3, out)
 
 
 # ----------------------------------------------------------------------------
 # Determinants.
 
 
-def det(m: PolyMatrix, method: str = "bareiss") -> MultiPoly:
-    """Exact determinant of a square matrix.
-
-    ``bareiss`` is the fraction-free default; ``cofactor`` expands along the
-    first row and is kept as an independent oracle for small sizes.
-    """
+def det(m: PolyMatrix) -> MultiPoly:
+    """Exact determinant of a square matrix by fraction-free (Bareiss)
+    elimination; _det_cofactor, which expands along the first row, is kept
+    as an independent oracle for small sizes."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if method == "bareiss":
-        return _det_bareiss(m)
-    if method == "cofactor":
-        return _det_cofactor(m)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return _det_bareiss(m)
 
 
 def continuant(m: PolyMatrix) -> list:
@@ -194,8 +194,7 @@ def continuant(m: PolyMatrix) -> list:
     if not m.is_square:
         raise ValueError("continuant of a non-square matrix")
     n = m.rows
-    # A MultiPoly is falsy exactly when it is zero.
-    if any(any(m.row(r)[:max(r - 1, 0)]) or any(m.row(r)[r + 2:]) for r in range(n)):
+    if any(abs(c - r) > 1 for r, row in enumerate(m.nonzeros) for c in row):
         raise ValueError("continuant of a matrix with entries outside its three "
                          "central diagonals")
     form = Form.from_multipoly
@@ -221,15 +220,15 @@ def certify_det_b(b: PolyMatrix) -> list:
     field = b.field
     n = b.rows
     s = MultiPoly.variable(field, "s")
-    if (any(any(b.row(r)[:r - 1]) for r in range(2, n))
+    if (any(c < r - 1 for r, row in enumerate(b.nonzeros) for c in row)
             or any(b[r, r - 1] != s for r in range(1, n))):
         raise ArithmeticError("B is not zero below a subdiagonal of s")
     w = [tau(n - 1 - i, field).times_minus_s(i) for i in range(n - 1)]
     w.append(Form(UniPoly.one(field), 0).times_minus_s(n - 1))
     zero = Form(UniPoly.zero(field), 0)
     try:
-        bw = [sum((Form.from_multipoly(e) * w_c for e, w_c in zip(b.row(r), w) if e), zero)
-              for r in range(n)]
+        bw = [sum((Form.from_multipoly(e) * w[c] for c, e in row.items()), zero)
+              for row in b.nonzeros]
     except ValueError as exc:  # a sum of forms raises rather than mix degrees
         raise ArithmeticError(f"an entry of B is not a form in s, t of degree 1: {exc}") from None
     if bw[0] != tau(n, field) or any(not e.is_zero() for e in bw[1:]):
@@ -245,7 +244,7 @@ def certify_det_b(b: PolyMatrix) -> list:
     # is a domain, (-s)^j det T_m = w[j] = (-s)^j tau_m gives det T_m = tau_m
     # for every m < n, and when B is tridiagonal with constant diagonals,
     # T_m equals the leading block b_m entry by entry:
-    if (any(any(b.row(r)[r + 2:]) for r in range(n - 2))
+    if (any(c > r + 1 for r, row in enumerate(b.nonzeros) for c in row)
             or any(b[r, r] != b[0, 0] or b[r - 1, r] != b[0, 1] for r in range(1, n))):
         raise ArithmeticError("B is not tridiagonal with constant diagonals")
     return w
@@ -254,7 +253,7 @@ def certify_det_b(b: PolyMatrix) -> list:
 def _det_bareiss(m: PolyMatrix) -> MultiPoly:
     field = m.field
     n = m.rows
-    a = [list(m.row(i)) for i in range(n)]
+    a = [m.row(i) for i in range(n)]
     zero = MultiPoly.zero(field)
     sign = 1
     prev = MultiPoly.one(field)

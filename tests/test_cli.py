@@ -557,6 +557,22 @@ class TestCertificateFailure:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: certificate check failed:")
 
+    def test_wrong_collapsed_determinant_exits_1(self, monkeypatch, capsys):
+        # A last minor other than tau_(n-2) is a failed check, not a
+        # determinant to factor by other means.
+        continuant = frobenius.continuant
+
+        def wrong_last_minor(m):
+            minors = continuant(m)
+            return minors[:-1] + [minors[-1] * minors[0]]
+
+        monkeypatch.setattr(frobenius, "continuant", wrong_last_minor)
+        assert main(["frobenius", "--n-set", "6..8"]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: certificate check failed:")
+
 
 class TestAtTheBound:
     @pytest.mark.parametrize("field", ["q", "fp:101"])
@@ -571,6 +587,19 @@ class TestAtTheBound:
         assert main(["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", "q"]) == EXIT_OK
         records = json.loads(capsys.readouterr().out)["growth"]["records"]
         assert len(records) == cli.MAX_INDEX
+
+    def test_cohomology_at_max_d(self, capsys):
+        assert main(["cohomology", "--d-min", "2", "--d-max", str(cli.MAX_D)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_pass"] is True
+        assert len(payload["records"]) == cli.MAX_D - 1
+
+    def test_frobenius_at_max_n(self, capsys):
+        argv = ["frobenius", "--n-set", f"6..{cli.MAX_N}", "--field", "fp:5"]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_pass"] is True
+        assert len(payload["records"]) == cli.MAX_N - 5
 
 
 class TestTracerContract:

@@ -167,6 +167,20 @@ class TestComponent:
             for j in range(pres.relations.cols):
                 assert pres.relations[i, j].variables() <= {"s", "t"}
 
+    @pytest.mark.parametrize("field", [Q, F7], ids=["q", "fp7"])
+    def test_one_product_per_stored_entry_of_the_middle_columns(self, monkeypatch, field):
+        # A_(d-1) stores 3(d-1) entries, and two of them lie in its first and
+        # last columns, which carry no relation.
+        products = []
+        multiply = MultiPoly.__mul__
+        monkeypatch.setattr(MultiPoly, "__mul__",
+                            lambda f, g: products.append(None) or multiply(f, g))
+        for d in range(2, 21):
+            a = build_a(d - 1, field)
+            products.clear()
+            component_dd(a)
+            assert len(products) == 3 * d - 5
+
     def test_rejects_wrong_shape(self):
         # component_dd presents A_(d-1), which is (d-1) x (d+1).
         for m in (build_b(3, Q), build_a(3, Q).without_columns([0])):

@@ -107,7 +107,7 @@ class TestDeterminant:
         assert det(build_b(2, Q)) == qp("t^2+s*t+s^2")
 
     def test_cofactor_oracle_and_recurrence(self):
-        d3 = det(build_b(3, Q), method="cofactor")
+        d3 = matrices._det_cofactor(build_b(3, Q))
         assert d3 == qp("-t^3-s*t^2-s^2*t-s^3")
         d1, d2 = det(build_b(1, Q)), det(build_b(2, Q))
         assert d3 == qp("-t-s") * d2 - qp("s*t") * d1
@@ -118,10 +118,6 @@ class TestDeterminant:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             det(build_a(2, Q))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            det(build_b(2, Q), method="lu")
 
     @pytest.mark.parametrize("field", [Q, F5], ids=["q", "fp5"])
     def test_det_b_equals_tau(self, field):
@@ -138,19 +134,19 @@ class TestDeterminant:
         for field in (Q, F5):
             for i in range(1, 9):
                 b = build_b(i, field)
-                assert det(b, "bareiss") == det(b, "cofactor")
+                assert det(b) == matrices._det_cofactor(b)
 
     def test_methods_agree_on_random(self):
         rng = random.Random(97)
         for field in (Q, F5):
             for n in range(1, 6):
                 m = _random_matrix(rng, field, n)
-                assert det(m, "bareiss") == det(m, "cofactor")
+                assert det(m) == matrices._det_cofactor(m)
 
     def test_singular_matrix(self):
         m = qmat([["t", "t"], ["s", "s"]])
         assert det(m).is_zero()
-        assert det(m, "cofactor").is_zero()
+        assert matrices._det_cofactor(m).is_zero()
 
     def test_zero_pivot_swap(self):
         m = qmat([["0", "t"], ["s", "0"]])
@@ -189,7 +185,7 @@ class TestContinuant:
         # Every leading principal minor, not only the determinant.
         minors = [d.to_multipoly() for d in continuant(m)]
         assert minors == [det(_block(m, 0, k)) for k in range(1, m.rows + 1)]
-        assert minors[-1] == det(m, "cofactor")
+        assert minors[-1] == matrices._det_cofactor(m)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -441,3 +437,79 @@ class TestPolyMatrixType:
 
     def test_serialization(self):
         assert build_b(2, Q).to_strings() == [["-t-s", "t"], ["s", "-t-s"]]
+
+
+# Entries biased to zero; "2" is also zero over F_2.
+_SPARSE_ENTRIES = ("0", "0", "0", "s", "t", "-t-s", "x*s", "2")
+
+
+@st.composite
+def _dense(draw):
+    field = draw(st.sampled_from([Q, F2, F5]))
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def entries(k):
+        return [parse_poly(draw(st.sampled_from(_SPARSE_ENTRIES)), field) for _ in range(k)]
+
+    return field, [entries(n_cols) for _ in range(n_rows)], entries
+
+
+def _assert_matches(m, rows):
+    # rows is the dense reference, a list of lists of entries.
+    assert (m.rows, m.cols) == (len(rows), len(rows[0]))
+    assert not any(e.is_zero() for row in m.nonzeros for e in row.values())
+    assert [[m[i, j] for j in range(m.cols)] for i in range(m.rows)] == rows
+    assert [m.row(i) for i in range(m.rows)] == rows
+    assert [m.column(j) for j in range(m.cols)] == [list(c) for c in zip(*rows)]
+    assert m.to_strings() == [[str(e) for e in row] for row in rows]
+    assert m.is_zero() == all(e.is_zero() for row in rows for e in row)
+
+
+class TestSparseStorage:
+    @settings(max_examples=200, deadline=None)
+    @given(_dense(), st.data())
+    def test_matches_a_dense_reference(self, drawn, data):
+        field, rows, entries = drawn
+        n_rows, n_cols = len(rows), len(rows[0])
+        m = PolyMatrix(rows)
+        _assert_matches(m, rows)
+
+        changed = [list(row) for row in rows]
+        i, j = data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, n_cols - 1))
+        changed[i][j] = entries(1)[0]
+        other = PolyMatrix(changed)
+        assert (m == other) == (rows == changed)
+        if rows == changed:
+            assert hash(m) == hash(other)
+        # replace_column stores column j last in each row: order is not content.
+        same = m.replace_column(j, m.column(j))
+        assert same == m and hash(same) == hash(m)
+        zero = MultiPoly.zero(field)
+        assert m != PolyMatrix([row + [zero] for row in rows])
+        assert m != PolyMatrix(rows + [[zero] * n_cols])
+
+        drop = data.draw(st.sets(st.integers(0, n_rows - 1), max_size=n_rows - 1))
+        _assert_matches(m.without_rows(drop), [r for k, r in enumerate(rows) if k not in drop])
+        drop = data.draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols - 1))
+        _assert_matches(m.without_columns(drop),
+                        [[e for k, e in enumerate(r) if k not in drop] for r in rows])
+        with pytest.raises(ValueError):
+            m.without_rows(range(n_rows))
+        with pytest.raises(ValueError):
+            m.without_columns(range(n_cols))
+
+        v = entries(n_rows)
+        _assert_matches(m.replace_column(j, v),
+                        [[v[r] if k == j else e for k, e in enumerate(row)]
+                         for r, row in enumerate(rows)])
+        for values in ({"s": 0, "t": 0}, {"x": 1, "y": 1}):
+            _assert_matches(m.substitute(values),
+                            [[e.substitute(values) for e in row] for row in rows])
+
+        v = entries(n_cols)
+        assert m.mul_vector(v) == [sum((e * x for e, x in zip(row, v)), zero) for row in rows]
+
+    @pytest.mark.parametrize("field", [Q, F2, F5], ids=["q", "fp2", "fp5"])
+    def test_b_stores_its_band_alone(self, field):
+        for n in range(1, 21):
+            assert sum(map(len, build_b(n, field).nonzeros)) == 3 * n - 2
