@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .arith import Field, Form, Monomial, MultiPoly, UniPoly, exact_divide, tau
+from .arith import Field, Form, Monomial, MultiPoly, UniPoly, tau
 from .factor import FactorReport
 from .matrices import PolyMatrix, build_b, certify_det_b
 
@@ -247,19 +247,22 @@ def component_dd(a: PolyMatrix) -> Presentation:
         for j in range(1, d))
     # Column k of a (1-based, 2 <= k <= d) becomes relation k - 1, scaled by
     # x^(k-2) * y^(d-k).  Every stored entry of a is read, not only its band,
-    # so comparing the relations with B stays a check of a.
+    # so comparing the relations with B stays a check of a.  Over a generator
+    # (x, y only), a term lies in k[s,t] iff its x, y, u, v exponents agree.
     scales = [MultiPoly.term(field, 1, Monomial.from_dict({"x": k - 2, "y": d - k}))
               for k in range(2, d + 1)]
     relations = [{} for _ in generators]
     for r, row in enumerate(a.nonzeros):
-        gen_mono = MultiPoly.term(field, 1, generators[r].monomial)
+        gen = generators[r].monomial
         for c, entry in row.items():
             if not 1 <= c <= d - 1:
                 continue
-            coefficient = exact_divide(entry * scales[c - 1], gen_mono)
-            if coefficient is None or not coefficient.variables() <= {"s", "t"}:
-                raise ArithmeticError("relation column does not land on the generators")
-            relations[r][c - 1] = coefficient
+            quotient = {}
+            for mono, coeff in (entry * scales[c - 1]).items():
+                if mono.exps[2:] != gen.exps[2:]:
+                    raise ArithmeticError("relation column does not land on the generators")
+                quotient[mono / gen] = coeff
+            relations[r][c - 1] = MultiPoly(field, quotient)
     return Presentation(generators, PolyMatrix.from_nonzeros(field, d - 1, relations))
 
 

@@ -316,13 +316,6 @@ class _ModRing:
         return acc
 
 
-def _pth_root(f: UniPoly) -> UniPoly:
-    # Valid when f' = 0, i.e. only exponents divisible by p occur; over a
-    # prime field the coefficients are their own p-th roots.
-    p = f.field.p
-    return UniPoly(f.field, f.coeffs[::p])
-
-
 def _squarefree_parts(f: UniPoly) -> list:
     """Yun-style decomposition of a monic f into (squarefree part, multiplicity)."""
     p = f.field.p
@@ -345,7 +338,9 @@ def _squarefree_parts(f: UniPoly) -> list:
             f = g
         if f.is_one():
             return parts
-        f = _pth_root(f)
+        # f' = 0, so only exponents divisible by p occur, and over a prime
+        # field the coefficients are their own p-th roots.
+        f = UniPoly(f.field, f.coeffs[::p])
         n *= p
 
 
@@ -369,20 +364,17 @@ def _distinct_degree(f: UniPoly) -> list:
     return result
 
 
-def _random_poly(rng: random.Random, field: Field, degree: int) -> UniPoly:
-    while True:
-        coeffs = [rng.randrange(field.p) for _ in range(degree + 1)]
-        poly = UniPoly(field, coeffs)
-        if poly.degree() >= 1:
-            return poly
+def _random_poly(rng: random.Random, field: Field, degree: int) -> list:
+    return [rng.randrange(field.p) for _ in range(degree + 1)]
 
 
 def _equal_degree(f: UniPoly, k: int, rng: random.Random) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-k
-    irreducibles into the irreducibles themselves.
+    irreducibles into the irreducibles themselves, by refinement: each trial
+    splits every part not yet of degree k by its gcd with one h modulo f.
 
-    For odd p the splitting power is r^((p^k-1)/2) =
-    (r * r^p * ... * r^(p^(k-1)))^((p-1)/2), and for p = 2 the trace
+    For odd p, h = r^((p^k-1)/2) - 1 =
+    (r * r^p * ... * r^(p^(k-1)))^((p-1)/2) - 1, and for p = 2 the trace
     r + r^2 + ... + r^(2^(k-1)); each r^(p^j) is a vector-matrix product
     with f's Frobenius matrix (von zur Gathen and Shoup, 1992)."""
     n = f.degree()
@@ -391,19 +383,22 @@ def _equal_degree(f: UniPoly, k: int, rng: random.Random) -> list:
     p = f.field.p
     ring = _ModRing(f)
     rows = ring.frobenius_rows() if k > 1 else None
+    parts = [f]
     for _ in range(_EDF_MAX_TRIES):
         r = _random_poly(rng, f.field, n - 1)
-        g = gcd_univariate(f, r)
-        if g.degree() == 0:
-            r = ring.elem(r)
-            if p == 2:
-                acc = ring.conjugate_fold(r, k, rows, lambda a, b: [u ^ v for u, v in zip(a, b)])
-            else:
-                acc = ring.pow(ring.conjugate_fold(r, k, rows, ring.mul), (p - 1) // 2)
-                acc[0] -= 1
-            g = gcd_univariate(f, UniPoly._exact(f.field, acc))
-        if 0 < g.degree() < n:
-            return _equal_degree(g, k, rng) + _equal_degree(f.exact_quotient(g), k, rng)
+        if p == 2:
+            acc = ring.conjugate_fold(r, k, rows, lambda a, b: [u ^ v for u, v in zip(a, b)])
+        else:
+            acc = ring.pow(ring.conjugate_fold(r, k, rows, ring.mul), (p - 1) // 2)
+            acc[0] -= 1
+        h = UniPoly._exact(f.field, acc)
+        refined = []
+        for part in parts:
+            g = gcd_univariate(part, h) if part.degree() > k else part
+            refined += [g, part.exact_quotient(g)] if 0 < g.degree() < part.degree() else [part]
+        parts = refined
+        if all(part.degree() == k for part in parts):
+            return parts
     raise ArithmeticError("equal-degree splitting failed to converge")
 
 
@@ -413,6 +408,8 @@ def _is_irreducible(g: UniPoly) -> bool:
     dividing k (Rabin, SIAM J. Comput. 9, 1980).  The Frobenius matrix is
     built here from g's own x^p mod g, so a split never certifies itself."""
     k, t = g.degree(), UniPoly.gen(g.field)
+    if k == 1:  # irreducible by definition; the test would only check a^p = a
+        return True
     ring = _ModRing(g)
     rows, x = ring.frobenius_rows(), ring.elem(t)
     powers = [x]  # x^(p^j) mod g

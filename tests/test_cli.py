@@ -583,8 +583,9 @@ class TestAtTheBound:
         assert payload["all_pass"] is True
         assert len(payload["results"]) == cli.MAX_INDEX
 
-    def test_factors_at_max_index(self, capsys):
-        assert main(["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", "q"]) == EXIT_OK
+    @pytest.mark.parametrize("field", ["q", "fp:101"])
+    def test_factors_at_max_index(self, capsys, field):
+        assert main(["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", field]) == EXIT_OK
         records = json.loads(capsys.readouterr().out)["growth"]["records"]
         assert len(records) == cli.MAX_INDEX
 

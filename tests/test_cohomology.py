@@ -181,6 +181,22 @@ class TestComponent:
             component_dd(a)
             assert len(products) == 3 * d - 5
 
+    # A_3 (d = 4) with one entry replaced: row r holds generator x^(r+1)*y^(3-r),
+    # and column c is scaled by x^(c-1)*y^(3-c).  Each replacement leaves a
+    # term that the generator does not divide, or a quotient outside k[s,t].
+    @pytest.mark.parametrize("row, col, entry", [
+        (0, 1, "-t*x*y-s*y^2"),  # one of two terms is not divisible
+        (0, 1, "-t*x^2*y"),      # the quotient keeps x
+        (1, 2, "-t*x*y^2"),      # the quotient keeps y
+        (0, 1, "-t*x*y*u"),      # the quotient keeps u
+        (2, 1, "1"),             # an entry off the band of a middle column
+    ], ids=["not_divisible", "keeps_x", "keeps_y", "keeps_u", "off_band"])
+    def test_rejects_entry_off_the_generators(self, row, col, entry):
+        rows = [dict(r) for r in build_a(3, Q).nonzeros]
+        rows[row][col] = qp(entry)
+        with pytest.raises(ArithmeticError):
+            component_dd(PolyMatrix.from_nonzeros(Q, 5, rows))
+
     def test_rejects_wrong_shape(self):
         # component_dd presents A_(d-1), which is (d-1) x (d+1).
         for m in (build_b(3, Q), build_a(3, Q).without_columns([0])):

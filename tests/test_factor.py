@@ -1,11 +1,12 @@
 import inspect
 import math
+import random
 import time
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cokerlab import factor
@@ -299,6 +300,24 @@ class TestFactorTau:
             assert t_i.u.degree() == i
 
 
+def _record_rings(monkeypatch):
+    # Lists every f that factor._ModRing is built on, and ("rows", f) for
+    # every frobenius_rows call.
+    built = []
+
+    class Recording(factor._ModRing):
+        def __init__(self, f):
+            super().__init__(f)
+            built.append(f)
+
+        def frobenius_rows(self):
+            built.append(("rows", self.f))
+            return super().frobenius_rows()
+
+    monkeypatch.setattr(factor, "_ModRing", Recording)
+    return built
+
+
 class TestRabin:
     def test_accepts_the_cubic_factors_of_phi7_mod_2(self):
         for coeffs in ([1, 1, 0, 1], [1, 0, 1, 1]):  # t^3+t+1, t^3+t^2+1
@@ -347,27 +366,91 @@ class TestRabin:
         assert list(inspect.signature(_is_irreducible).parameters) == ["g"]
         assert list(inspect.signature(factor._ModRing.frobenius_rows).parameters) == ["self"]
         factors = factor._split_cyclotomic(77, Field.prime(101), None)
-        built = []
-
-        class Recording(factor._ModRing):
-            def __init__(self, f):
-                super().__init__(f)
-                built.append(f)
-
-            def frobenius_rows(self):
-                built.append(("rows", self.f))
-                return super().frobenius_rows()
+        built = _record_rings(monkeypatch)
 
         def no_split(*args):
             raise AssertionError("Rabin's test called the splitter")
 
-        monkeypatch.setattr(factor, "_ModRing", Recording)
         monkeypatch.setattr(factor, "_equal_degree", no_split)
         assert len(factors) > 1
         for g in factors:
             built.clear()
             assert _is_irreducible(g)
             assert built == [g, ("rows", g)]
+
+
+    @pytest.mark.parametrize("p", [2, 101, BIG_PRIME])
+    def test_linear_factors_need_no_ring(self, monkeypatch, p):
+        built = _record_rings(monkeypatch)
+        t = UniPoly.gen(Field.prime(p))
+        for a in {0, 1, p // 2, p - 1}:
+            assert _is_irreducible(t - a)
+        assert built == []
+
+
+def _order(p, m):
+    return next(k for k in range(1, m + 1) if pow(p, k, m) == 1)
+
+
+@st.composite
+def _equal_degree_blocks(draw):
+    # A monic squarefree product of degree-k irreducibles and the list of
+    # them, when known: Phi_m mod p, or distinct Rabin-accepted random monics.
+    p = draw(st.sampled_from((2, 3, 7, 101, BIG_PRIME)))
+    field = Field.prime(p)
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 60).filter(lambda m: m % p))
+        return UniPoly(field, cyclotomic(m).coeffs), _order(p, m), None
+    k = draw(st.integers(1, 4))
+    residues = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    candidates = draw(st.lists(st.lists(residues, min_size=k, max_size=k),
+                               min_size=1, max_size=6, unique_by=tuple))
+    known = [g for g in (UniPoly(field, c + [1]) for c in candidates) if _is_irreducible(g)]
+    assume(known)
+    block = UniPoly.one(field)
+    for g in known:
+        block = block * g
+    return block, k, sorted(known, key=UniPoly.sort_key)
+
+
+class TestEqualDegree:
+    @settings(max_examples=60, deadline=None)
+    @given(_equal_degree_blocks())
+    def test_splits_into_irreducibles_of_degree_k(self, case):
+        block, k, known = case
+        outputs = set()
+        for seed in range(3):
+            parts = factor._equal_degree(block, k, random.Random(seed))
+            product = UniPoly.one(block.field)
+            for g in parts:
+                product = product * g
+            assert product == block
+            assert len(parts) == block.degree() // k
+            assert all(g.degree() == k and _is_irreducible(g) for g in parts)
+            outputs.add(tuple(sorted(parts, key=UniPoly.sort_key)))
+        assert len(outputs) == 1
+        if known is not None:
+            assert list(outputs.pop()) == known
+
+    def test_a_splitter_that_never_splits_fails(self, monkeypatch):
+        # A constant r gives h = c^((p-1)/2) - 1, a constant, on every factor.
+        field = Field.prime(101)
+        monkeypatch.setattr(factor, "_random_poly",
+                            lambda rng, field, degree: [2] + [0] * degree)
+        with pytest.raises(ArithmeticError):
+            factor._equal_degree(UniPoly(field, cyclotomic(100).coeffs), 1, random.Random(0))
+
+    # Mod 101, Phi_77 is two factors of degree 30, Phi_37 six of degree 6,
+    # and Phi_100 forty linear factors.
+    @pytest.mark.parametrize("m, k, rows", [(77, 30, 1), (37, 6, 1), (100, 1, 0)])
+    def test_one_ring_per_block(self, monkeypatch, m, k, rows):
+        field = Field.prime(101)
+        assert _order(101, m) == k
+        phi = UniPoly(field, cyclotomic(m).coeffs)
+        built = _record_rings(monkeypatch)
+        parts = factor._equal_degree(phi, k, random.Random(0))
+        assert len(parts) == phi.degree() // k
+        assert built == [phi] + [("rows", phi)] * rows
 
 
 KERNEL_PRIMES = (2, 3, 101, BIG_PRIME)
