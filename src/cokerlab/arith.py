@@ -203,9 +203,6 @@ class Monomial:
     def degree(self) -> int:
         return self._degree
 
-    def is_one(self) -> bool:
-        return self._degree == 0
-
     def __mul__(self, other: Monomial) -> Monomial:
         a = self.exps
         b = other.exps
@@ -819,7 +816,8 @@ class Form:
         return Form(self.u * other.u, self.degree + other.degree)
 
     def times_minus_s(self, i: int) -> Form:
-        """(-s)^i times the form: a shift of the degree, with a sign."""
+        """(-s)^i times the form: a shift of the degree, with a sign.  A
+        negative i divides, and raises ValueError unless s^-i divides the form."""
         return Form(-self.u if i % 2 else self.u, self.degree + i)
 
     def divides(self, other: Form) -> bool:

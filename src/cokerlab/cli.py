@@ -213,8 +213,8 @@ def run_cohomology(config: RunConfig) -> tuple:
     field = config.field
     records = []
     all_pass = True
-    for d in range(config.d_min, config.d_max + 1):
-        witness = torsion_witness(d, field)
+    degrees = range(config.d_min, config.d_max + 1)
+    for d, witness in zip(degrees, torsion_witness(degrees, field)):
         b = witness.relations
         a = build_a(d - 1, field)
         component = component_dd(a)
@@ -262,18 +262,20 @@ def run_cohomology(config: RunConfig) -> tuple:
 def run_frobenius(config: RunConfig) -> tuple:
     records = []
     reports = []
-    for n in config.n_set:
-        relations, determinant, report = collapse(n, config.field, config.seed)
+    for n, (relations, report) in zip(config.n_set,
+                                      collapse(config.n_set, config.field, config.seed)):
         reports.append(report)
         records.append({
             "n": n,
             "d": n + 1,
             "case": CASE_AT_N_PLUS_1,
             "matrix": relations.to_strings(),
-            "det": str(determinant),
-            # component_t raises unless the relations at d = n + 1 equal B_(n-2).
+            # factor_tau factors tau_(n-2), the determinant collapse certifies.
+            "det": str(report.input),
+            # collapse raises unless the relations at d = n + 1 equal the
+            # leading block B_(n-2) of the one matrix it certifies ...
             "collapse_matches_b": True,
-            # collapse raises unless certify_det_b proves det = tau_(n-2).
+            # ... so certify_det_b proves det = tau_(n-2).
             "det_equals_tau": True,
             "factors": _factors_json(report),
         })

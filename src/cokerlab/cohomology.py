@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .arith import Field, Form, Monomial, MultiPoly, UniPoly, tau
 from .factor import FactorReport
@@ -62,9 +62,6 @@ class InverseMonomial:
     def degree(self) -> int:
         return -(self.alpha + self.beta)
 
-    def __str__(self) -> str:
-        return f"u^-{self.alpha}*v^-{self.beta}"
-
 
 class InverseElement:
     """Finite combination of inverse monomials with coefficients in k[x,y,s,t]."""
@@ -89,25 +86,6 @@ class InverseElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: InverseElement) -> InverseElement:
-        acc = dict(self.terms)
-        for im, poly in other.terms.items():
-            total = acc.get(im)
-            acc[im] = poly if total is None else total + poly
-        return InverseElement(self.field, acc)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InverseElement):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [f"({poly})*{im}" for im, poly in sorted(
-            self.terms.items(), key=lambda kv: kv[0].alpha)]
-        return " + ".join(parts)
 
 
 def mult_by_f(element: InverseElement) -> InverseElement:
@@ -284,27 +262,35 @@ class TorsionWitness:
     relations: PolyMatrix
 
 
-def torsion_witness(d: int, field: Field) -> TorsionWitness:
-    """Build and re-verify the torsion certificate for the degree -d piece.
+def torsion_witness(d_set: Sequence[int], field: Field) -> list:
+    """Build and verify the torsion certificate for each degree -d piece.
 
-    With n = d - 1, B_n is built once; certify_det_b proves det(B_n) = tau_n
-    and returns w = adj(B_n) e_1, whose entries are the Cramer numerators of
-    e_1, so the non-membership certificate for e_1, the first column whose
-    numerator tau_n does not divide, is read off w without an elimination.
-    The witness carries B_n as its ``relations``.
+    With N = max(d_set) - 1, B_N is built once, and certify_det_b proves
+    det(B_n) = tau_n for every n <= N and returns w = adj(B_N) e_1.  For
+    n = d - 1, its proof also gives adj(B_n) e_1 as w's last n entries over
+    (-s)^(N-n).  These are the Cramer numerators of e_1, so the
+    non-membership certificate for e_1, the first column whose numerator
+    tau_n does not divide, needs no elimination.  Each witness carries the
+    leading block B_n of B_N as its ``relations``.
     """
-    if d < 2:
-        raise ValueError("torsion_witness requires d >= 2")
-    n = d - 1
-    annihilator = tau(n, field)
-    b = build_b(n, field)
-    solution = certify_det_b(b)
-    failed = next((i + 1 for i, numerator in enumerate(solution)
-                   if not annihilator.divides(numerator)), None)
-    if failed is None:
-        raise ArithmeticError("e_1 unexpectedly lies in the image")
-    return TorsionWitness(d=d, annihilator=annihilator, solution=tuple(solution),
-                          failed_column=failed, relations=b)
+    if not d_set or any(d < 2 for d in d_set):
+        raise ValueError("torsion_witness requires a nonempty d_set with every d >= 2")
+    top = max(d_set) - 1
+    b = build_b(top, field)
+    w = certify_det_b(b)
+    witnesses = []
+    for d in d_set:
+        n = d - 1
+        annihilator = tau(n, field)
+        solution = tuple(e.times_minus_s(n - top) for e in w[top - n:])
+        failed = next((i + 1 for i, numerator in enumerate(solution)
+                       if not annihilator.divides(numerator)), None)
+        if failed is None:
+            raise ArithmeticError("e_1 unexpectedly lies in the image")
+        relations = b.without_rows(range(n, top)).without_columns(range(n, top))
+        witnesses.append(TorsionWitness(d=d, annihilator=annihilator, solution=solution,
+                                        failed_column=failed, relations=relations))
+    return witnesses
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 For 4 < d < n the degree-d component is presented by the tall relation
 matrix; at d = n the first and last generator rows drop, and at d = n + 1
 two rows drop at each end and the presentation collapses onto the square
-tridiagonal matrix, whose determinant drives the distinct-witness growth.
-collapse() certifies that determinant as tau_(n-2) on the one matrix, or raises.
+tridiagonal matrix B_(n-2), whose determinant drives the distinct-witness
+growth.  collapse() builds and certifies B_(max n - 2) once, proving det B_m =
+tau_m for each leading block B_m, and raises unless each n's collapsed
+relations equal the leading block B_(n-2).
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import Field, Monomial, MultiPoly, tau
+from .arith import Field, Monomial, MultiPoly
 from .cohomology import Generator, Presentation
 from .factor import GrowthReport, accumulate_reports, factor_tau
-from .matrices import build_b, build_m, certify_det_b, continuant
+from .matrices import build_b, build_m, certify_det_b
 
 CASE_BELOW = "below"
 CASE_AT_N = "at_n"
@@ -67,8 +69,8 @@ def component_t(n: int, d: int, field: Field) -> FrobeniusComponent:
     """Degree-d component of the quotient by x^n, y^n, for 4 < d <= n+1.
 
     Below n the presentation is the full tall matrix; at d = n the rows of
-    y^n and x^n are deleted; at d = n + 1 the four boundary rows are deleted
-    and the result is checked against the square tridiagonal matrix.
+    y^n and x^n are deleted; at d = n + 1 the four boundary rows are deleted,
+    which collapse() checks leaves the square tridiagonal matrix.
     """
     if n <= 5:
         raise ValueError("component_t requires n >= 6")
@@ -87,27 +89,32 @@ def component_t(n: int, d: int, field: Field) -> FrobeniusComponent:
         case = CASE_AT_N_PLUS_1
         generators = _monomial_generators(d, range(3, d))
         relations = m.without_rows([0, 1, d - 1, d])
-        if relations != build_b(n - 2, field):
-            raise ArithmeticError("row deletion did not collapse onto the "
-                                  "square tridiagonal matrix")
     return FrobeniusComponent(n=n, d=d, case=case,
                               presentation=Presentation(generators, relations))
 
 
-def collapse(n: int, field: Field, seed: Optional[int]) -> tuple:
-    """(relations, determinant, report) at d = n + 1.
+def collapse(n_set: Sequence[int], field: Field, seed: Optional[int]) -> list:
+    """[(relations, report)] at d = n + 1, for each n in n_set in order.
 
-    The determinant is the continuant's last minor of the collapsed relations.
-    ArithmeticError is raised unless it equals tau_(n-2); certify_det_b then
-    proves that on the same relations, and factor_tau's Rabin-proven splits
-    factor it, so report.input equals the determinant.
+    B_N, N = max(n_set) - 2, is built once, and certify_det_b proves
+    det(B_m) = tau_m for each leading block B_m of it.  ArithmeticError is
+    raised unless each n's collapsed relations equal the block B_(n-2), so
+    their determinant is tau_(n-2), and factor_tau's Rabin-proven splits
+    factor it: report.input is that determinant.
     """
-    relations = component_t(n, n + 1, field).presentation.relations
-    determinant = continuant(relations)[-1]
-    if determinant != tau(n - 2, field):
-        raise ArithmeticError(f"the collapsed determinant at n = {n} is not tau_{n - 2}")
-    certify_det_b(relations)
-    return relations, determinant, factor_tau(n - 2, field, seed)
+    if not n_set or any(n < 6 for n in n_set):
+        raise ValueError("collapse requires a nonempty n_set with every n >= 6")
+    top = max(n_set) - 2
+    b = build_b(top, field)
+    certify_det_b(b)
+    collapsed = []
+    for n in n_set:
+        relations = component_t(n, n + 1, field).presentation.relations
+        m = n - 2
+        if relations != b.without_rows(range(m, top)).without_columns(range(m, top)):
+            raise ArithmeticError(f"row deletion at n = {n} did not collapse onto B_{m}")
+        collapsed.append((relations, factor_tau(m, field, seed)))
+    return collapsed
 
 
 def witness_growth(n_set: Sequence[int], field: Field,
@@ -116,6 +123,4 @@ def witness_growth(n_set: Sequence[int], field: Field,
     across the given n values in order, from collapse()'s certified factor
     report for each n."""
     values = list(n_set)
-    if any(n < 6 for n in values):
-        raise ValueError("witness_growth requires every n >= 6")
-    return accumulate_reports(values, [collapse(n, field, seed)[2] for n in values])
+    return accumulate_reports(values, [report for _, report in collapse(values, field, seed)])

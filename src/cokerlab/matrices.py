@@ -247,6 +247,9 @@ def certify_det_b(b: PolyMatrix) -> list:
     if (any(c > r + 1 for r, row in enumerate(b.nonzeros) for c in row)
             or any(b[r, r] != b[0, 0] or b[r - 1, r] != b[0, 1] for r in range(1, n))):
         raise ArithmeticError("B is not tridiagonal with constant diagonals")
+    # The trailing blocks of b_m are then leading blocks of B as well, so
+    # adj(b_m)[i][0] = (-s)^i tau_(m-1-i) = w[n-m+i] / (-s)^(n-m): adj(b_m) e_1
+    # for each m <= n follows from this same certificate.
     return w
 
 

@@ -100,7 +100,7 @@ def test_criterion_05_torsion_certificates():
             e_j[j] = MultiPoly.one(Q)
             assert not solve_square(b, e_j).is_solution
         assert b.substitute({"s": 0, "t": 0}).is_zero()
-        witness = torsion_witness(d, Q)
+        witness = torsion_witness([d], Q)[0]
         assert witness.annihilator == t_poly
     _report(5, "torsion certificates and e_j non-membership, d = 2..10")
 

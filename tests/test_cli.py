@@ -260,6 +260,22 @@ class TestFrobeniusCommand:
         assert record["det_equals_tau"] is True
         assert record["d"] == 9
 
+    def test_unsorted_set_keeps_input_order_and_certifies_once(self, monkeypatch, capsys):
+        single = {}
+        for n in (6, 7, 9):
+            assert main(["frobenius", "--n-set", str(n)]) == EXIT_OK
+            single[n] = json.loads(capsys.readouterr().out)["records"][0]
+        certificates = _count_bindings(monkeypatch, "certify_det_b")
+        assert main(["frobenius", "--n-set", "9,6,7"]) == EXIT_OK
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [args[0].rows for args in certificates] == [7]
+        # Only the growth columns depend on the order of the set.
+        growth = ("new_witnesses", "cumulative_witnesses")
+        for record, n in zip(records, (9, 6, 7), strict=True):
+            for key in growth:
+                del record[key], single[n][key]
+            assert record == single[n]
+
 
 class TestReproducibility:
     CONFIGS = [
@@ -333,23 +349,25 @@ class TestComputedOnce:
             == [tau(d - 1, q) for d in range(2, 7)]
         # The torsion certificate is written down, not eliminated for.
         assert eliminations == []
-        # verify-lemma1 and frobenius take determinants by the continuant.
-        determinants = _count_calls(monkeypatch, frobenius, "continuant")
+        # frobenius takes no determinant: it compares each collapsed matrix
+        # with a leading block of the one B it certifies.
+        determinants = _count_bindings(monkeypatch, "continuant")
         assert main(["frobenius", "--n-set", "6,8"]) == EXIT_OK
         assert eliminations == []
-        assert len(determinants) == 2
+        assert determinants == []
         # verify-lemma1 makes one continuant pass, over the leading minors of B_6.
         determinants = _count_calls(monkeypatch, cli, "continuant")
         assert main(["verify-lemma1", "--max-i", "6"]) == EXIT_OK
         assert eliminations == []
         assert [args[0].rows for args in determinants] == [6]
 
-    # verify-lemma1 builds and certifies B_6 once: det(B_i) for i < 6 are
-    # leading minors of it, and certify_det_b(B_6) proves them all.
+    # Each command builds and certifies its largest B once: the B of every
+    # smaller index is a leading block of it, and one certify_det_b proves
+    # all their determinants.
     @pytest.mark.parametrize("argv, b_sizes, constructions", [
         (["verify-lemma1", "--max-i", "6"], [6], 1),
-        (["cohomology", "--d-min", "2", "--d-max", "6"], [1, 2, 3, 4, 5], 4),
-        (["frobenius", "--n-set", "6..9"], [4, 5, 6, 7], 3),
+        (["cohomology", "--d-min", "2", "--d-max", "6"], [5], 4),
+        (["frobenius", "--n-set", "6..9"], [7], 3),
     ], ids=["verify-lemma1", "cohomology", "frobenius"])
     def test_one_b_and_one_certificate_per_index(self, monkeypatch, capsys, argv,
                                                  b_sizes, constructions):
@@ -364,21 +382,26 @@ class TestComputedOnce:
         assert [args[0].rows for args in certificates] == b_sizes
         assert len(matrices_made) <= constructions * len(b_sizes)
         if argv[0] == "cohomology":
-            # A_(d-1) is built once, for the column bidegrees and component_dd.
-            assert [args[0] for args in a_builds] == b_sizes
-            # Only the fiber at s = t = 0 substitutes; no determinant is taken.
-            assert len(substitutions) == len(b_sizes)
+            # A_(d-1) is built once per d, for the column bidegrees and component_dd.
+            assert [args[0] for args in a_builds] == [1, 2, 3, 4, 5]
+            # Only the fiber at s = t = 0 substitutes, once per d; no
+            # determinant is taken.
+            assert len(substitutions) == 5
             assert determinants == []
             return
         assert a_builds == substitutions == []
+        if argv[0] == "frobenius":
+            # No determinant is taken, and each printed matrix is a leading
+            # block of the certified one.
+            assert determinants == []
+            certified = certificates[0][0].to_strings()
+            records = json.loads(capsys.readouterr().out)["records"]
+            assert [r["matrix"] for r in records] \
+                == [[row[:n - 2] for row in certified[:n - 2]] for n in range(6, 10)]
+            return
         # The determinant is certified on the matrix it was taken of.
         assert len(determinants) == len(b_sizes)
         assert all(d[0] is c[0] for d, c in zip(determinants, certificates))
-        if argv[0] == "frobenius":
-            # ... and that matrix is the one the report prints.
-            records = json.loads(capsys.readouterr().out)["records"]
-            assert [r["matrix"] for r in records] \
-                == [c[0].to_strings() for c in certificates]
 
     def test_each_cyclotomic_split_once_per_process(self, monkeypatch, capsys):
         f7 = Field.prime(7)
@@ -493,6 +516,16 @@ def _transpose_collapsed_relations(monkeypatch):
     monkeypatch.setattr(frobenius, "component_t", transposed)
 
 
+def _corrupting(build_b, pos, entry):
+    # build_b with entry added to diagonal entry pos; -1 is the last.
+    def corrupted(i, field):
+        b = build_b(i, field)
+        entries = [list(b.row(r)) for r in range(i)]
+        entries[pos][pos] = entries[pos][pos] + parse_poly(entry, field)
+        return PolyMatrix(entries)
+    return corrupted
+
+
 class TestCertificateFailure:
     def test_wrong_b_exits_1_without_traceback(self, monkeypatch, capsys):
         build_b = cohomology.build_b
@@ -558,16 +591,25 @@ class TestCertificateFailure:
         assert captured.err.startswith("error: certificate check failed:")
 
     def test_wrong_collapsed_determinant_exits_1(self, monkeypatch, capsys):
-        # A last minor other than tau_(n-2) is a failed check, not a
+        # A B whose leading minors are not tau is a failed check, not a
         # determinant to factor by other means.
-        continuant = frobenius.continuant
-
-        def wrong_last_minor(m):
-            minors = continuant(m)
-            return minors[:-1] + [minors[-1] * minors[0]]
-
-        monkeypatch.setattr(frobenius, "continuant", wrong_last_minor)
+        monkeypatch.setattr(frobenius, "build_b", _corrupting(frobenius.build_b, 0, "t"))
         assert main(["frobenius", "--n-set", "6..8"]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: certificate check failed:")
+
+    @pytest.mark.parametrize("argv, module", [
+        (["cohomology", "--d-min", "2", "--d-max", "6"], cohomology),
+        (["frobenius", "--n-set", "6..9"], frobenius),
+    ], ids=["cohomology", "frobenius"])
+    def test_wrong_entry_outside_every_smaller_block_exits_1(self, monkeypatch, capsys,
+                                                             argv, module):
+        # The last diagonal entry of B_N lies in no smaller index's block, so
+        # only the one certificate of B_N can reject it.
+        monkeypatch.setattr(module, "build_b", _corrupting(module.build_b, -1, "s"))
+        assert main(argv) == EXIT_CHECK_FAILED
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
@@ -589,14 +631,17 @@ class TestAtTheBound:
         records = json.loads(capsys.readouterr().out)["growth"]["records"]
         assert len(records) == cli.MAX_INDEX
 
-    def test_cohomology_at_max_d(self, capsys):
-        assert main(["cohomology", "--d-min", "2", "--d-max", str(cli.MAX_D)]) == EXIT_OK
+    @pytest.mark.parametrize("field", ["q", "fp:7"])
+    def test_cohomology_at_max_d(self, capsys, field):
+        argv = ["cohomology", "--d-min", "2", "--d-max", str(cli.MAX_D), "--field", field]
+        assert main(argv) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_pass"] is True
         assert len(payload["records"]) == cli.MAX_D - 1
 
-    def test_frobenius_at_max_n(self, capsys):
-        argv = ["frobenius", "--n-set", f"6..{cli.MAX_N}", "--field", "fp:5"]
+    @pytest.mark.parametrize("field", ["q", "fp:5"])
+    def test_frobenius_at_max_n(self, capsys, field):
+        argv = ["frobenius", "--n-set", f"6..{cli.MAX_N}", "--field", field]
         assert main(argv) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_pass"] is True

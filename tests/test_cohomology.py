@@ -29,7 +29,14 @@ from cokerlab.cohomology import (
     torsion_witness,
 )
 from cokerlab.factor import factor_tau
-from cokerlab.matrices import PolyMatrix, adjugate_column, build_a, build_b, solve_square
+from cokerlab.matrices import (
+    PolyMatrix,
+    adjugate_column,
+    build_a,
+    build_b,
+    certify_det_b,
+    solve_square,
+)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -206,20 +213,20 @@ class TestComponent:
 
 class TestTorsionWitness:
     def test_d2(self):
-        w = torsion_witness(2, Q)
+        w = torsion_witness([2], Q)[0]
         assert w.annihilator == qf("-t-s")
         assert list(w.solution) == [qf("1")]
         assert w.failed_column == 1
 
     def test_d3_solution_is_adjugate_column(self):
-        w = torsion_witness(3, Q)
+        w = torsion_witness([3], Q)[0]
         assert list(w.solution) == [qf("-t-s"), qf("-s")]
         assert [e.to_multipoly() for e in w.solution] == adjugate_column(build_b(2, Q), 0)
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_certificates_verify(self, d):
         for field in (Q, F2, F7):
-            w = torsion_witness(d, field)
+            w = torsion_witness([d], field)[0]
             b = build_b(d - 1, field)
             assert w.relations == b
             solution = [e.to_multipoly() for e in w.solution]
@@ -237,6 +244,22 @@ class TestTorsionWitness:
             # dimension d-1.
             assert b.substitute({"s": 0, "t": 0}).is_zero()
 
+    @pytest.mark.parametrize("field", [Q, F2, F7], ids=["q", "fp2", "fp7"])
+    def test_one_certificate_serves_every_degree(self, field):
+        # Each witness read off the one certificate of B_29 is the one B_(d-1)
+        # would certify alone.
+        witnesses = torsion_witness(range(2, 31), field)
+        assert [w.d for w in witnesses] == list(range(2, 31))
+        for w in witnesses:
+            b = build_b(w.d - 1, field)
+            assert w.relations == b
+            assert list(w.solution) == certify_det_b(b)
+            if w.d <= 10:
+                assert [e.to_multipoly() for e in w.solution] == adjugate_column(b, 0)
+            if w.d <= 8:
+                e1 = [MultiPoly.one(field)] + [MultiPoly.zero(field)] * (w.d - 2)
+                assert w.failed_column == solve_square(b, e1).failed_column
+
     @pytest.mark.parametrize("row, col", [(2, 0), (1, 0)], ids=["below_band", "subdiagonal"])
     def test_rejects_matrix_off_the_band(self, monkeypatch, row, col):
         # Adding w_2 at (row, col) and -w_col at (row, 2) keeps B' w = tau e_1,
@@ -250,15 +273,15 @@ class TestTorsionWitness:
         assert patched.mul_vector(w) == b.mul_vector(w)
         monkeypatch.setattr(cohomology, "build_b", lambda i, field: patched)
         with pytest.raises(ArithmeticError, match="subdiagonal"):
-            torsion_witness(4, Q)
+            torsion_witness([4], Q)
 
     def test_prime_field(self):
-        w = torsion_witness(4, F3)
+        w = torsion_witness([4], F3)[0]
         assert w.annihilator == tau(3, F3)
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
-            torsion_witness(1, Q)
+            torsion_witness([1], Q)
 
 
 class TestPrimeWitnesses:

@@ -298,7 +298,7 @@ class TestCertifyDetB:
             w = certify_det_b(build_b(i, field))
             assert len(w) == i and w[-1].to_multipoly() == minus_s ** (i - 1)
         for d in range(2, 21):
-            witness = cohomology.torsion_witness(d, field)
+            witness = cohomology.torsion_witness([d], field)[0]
             assert witness.annihilator == tau(d - 1, field)
         # A whole verify-lemma1 run certifies B_20 once; cli keeps its own
         # binding of the continuant, so only the certificate would raise.
