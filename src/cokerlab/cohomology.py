@@ -214,7 +214,9 @@ def component_dd(a: PolyMatrix) -> Presentation:
 
     Generators are x^j * y^(d-j) in slots j = 1..d-1; the relations are the
     middle columns of the rectangular matrix scaled into bidegree (d,d) with
-    the x,y content stripped, leaving a square matrix over k[s,t].
+    the x,y content stripped, leaving a square matrix over k[s,t].  Relation
+    (r, c-1) is a[r][c] * x^(c-r-2) * y^(r-c) whatever d is, so the component
+    of a leading block A_(d-1) of A_N is the leading block of A_N's component.
     """
     d = a.rows + 1
     if a.cols != d + 1:

@@ -9,11 +9,11 @@ ord_m(p); it is split once per process by equal-degree splitting with that
 known degree, and every factor is proven irreducible by Rabin's test.
 Each report re-verifies reassembly and the squarefree product of its factors.
 
-Other inputs (a determinant that is not tau, and tests' oracles) go through the
-generic engines: exact cyclotomic trial division over Q, and over a prime
-field squarefree decomposition, distinct-degree splitting, then randomized
-equal-degree splitting with an optional seed.  Factor lists are sorted
-canonically, so reports do not depend on the random path taken.
+Other inputs go through the generic engines, which the tests use as oracles:
+exact cyclotomic trial division over Q, and over a prime field squarefree
+decomposition, distinct-degree splitting, then randomized equal-degree
+splitting with an optional seed.  Factor lists are sorted canonically, so
+reports do not depend on the random path taken.
 """
 
 from __future__ import annotations

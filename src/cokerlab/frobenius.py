@@ -5,8 +5,8 @@ matrix; at d = n the first and last generator rows drop, and at d = n + 1
 two rows drop at each end and the presentation collapses onto the square
 tridiagonal matrix B_(n-2), whose determinant drives the distinct-witness
 growth.  collapse() builds and certifies B_(max n - 2) once, proving det B_m =
-tau_m for each leading block B_m, and raises unless each n's collapsed
-relations equal the leading block B_(n-2).
+tau_m for each leading block B_m, and collapses the quotient of the largest n
+once: every n's collapsed relations are the leading block B_(n-2) of it.
 """
 
 from __future__ import annotations
@@ -98,23 +98,21 @@ def collapse(n_set: Sequence[int], field: Field, seed: Optional[int]) -> list:
 
     B_N, N = max(n_set) - 2, is built once, and certify_det_b proves
     det(B_m) = tau_m for each leading block B_m of it.  ArithmeticError is
-    raised unless each n's collapsed relations equal the block B_(n-2), so
-    their determinant is tau_(n-2), and factor_tau's Rabin-proven splits
-    factor it: report.input is that determinant.
+    raised unless the largest n's collapsed relations equal B_N, so each n's
+    are the block B_(n-2), whose determinant tau_(n-2) factor_tau's
+    Rabin-proven splits factor: report.input is that determinant.
     """
     if not n_set or any(n < 6 for n in n_set):
         raise ValueError("collapse requires a nonempty n_set with every n >= 6")
     top = max(n_set) - 2
     b = build_b(top, field)
     certify_det_b(b)
-    collapsed = []
-    for n in n_set:
-        relations = component_t(n, n + 1, field).presentation.relations
-        m = n - 2
-        if relations != b.without_rows(range(m, top)).without_columns(range(m, top)):
-            raise ArithmeticError(f"row deletion at n = {n} did not collapse onto B_{m}")
-        collapsed.append((relations, factor_tau(m, field, seed)))
-    return collapsed
+    # Entry (r, j) of M_d is nonzero iff r - j is 1, 2 or 3, whatever d is, so
+    # each n's collapsed relations are a leading block of the largest n's.
+    if component_t(top + 2, top + 3, field).presentation.relations != b:
+        raise ArithmeticError(f"row deletion at n = {top + 2} did not collapse onto B_{top}")
+    return [(b.without_rows(range(n - 2, top)).without_columns(range(n - 2, top)),
+             factor_tau(n - 2, field, seed)) for n in n_set]
 
 
 def witness_growth(n_set: Sequence[int], field: Field,

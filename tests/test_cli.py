@@ -300,6 +300,12 @@ class TestReproducibility:
                      "--field", "q", "--output", str(out)]) == EXIT_OK
         assert out.read_bytes() == (GOLDEN_DIR / "cohomology_d2_5_q.json").read_bytes()
 
+    def test_cohomology_prime_field_golden(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["cohomology", "--d-min", "2", "--d-max", "9",
+                     "--field", "fp:7", "--output", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN_DIR / "cohomology_d2_9_fp7.json").read_bytes()
+
     def test_frobenius_golden(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["frobenius", "--n-set", "8", "--field", "q",
@@ -382,11 +388,12 @@ class TestComputedOnce:
         assert [args[0].rows for args in certificates] == b_sizes
         assert len(matrices_made) <= constructions * len(b_sizes)
         if argv[0] == "cohomology":
-            # A_(d-1) is built once per d, for the column bidegrees and component_dd.
-            assert [args[0] for args in a_builds] == [1, 2, 3, 4, 5]
-            # Only the fiber at s = t = 0 substitutes, once per d; no
-            # determinant is taken.
-            assert len(substitutions) == 5
+            # Only A_N is built, for the column bidegrees and component_dd:
+            # each smaller A_(d-1) is a leading block of it.
+            assert [args[0] for args in a_builds] == [5]
+            # Only the fiber of B_N at s = t = 0 substitutes; no determinant
+            # is taken.
+            assert len(substitutions) == 1
             assert determinants == []
             return
         assert a_builds == substitutions == []
@@ -452,6 +459,11 @@ class TestComputedOnce:
         monkeypatch.setattr(MultiPoly, "__mul__", counting)
         assert main(["cohomology", "--d-min", "2", "--d-max", "6"]) == EXIT_OK
         assert set(callers) == {"build_a", "component_dd"}
+        # Only A_N and its component multiply, so d-min changes no count.
+        products = len(callers)
+        callers.clear()
+        assert main(["cohomology", "--d-min", "6", "--d-max", "6"]) == EXIT_OK
+        assert len(callers) == products
 
     def test_each_distinct_form_rendered_once(self, capsys):
         # Forms render through a memo keyed by value: det(B_i) and tau_i are
@@ -599,6 +611,31 @@ class TestCertificateFailure:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: certificate check failed:")
+
+    # Each A_(d-1) is a leading block of A_N, so corrupting only A_N fails
+    # the one check of A_N, and with it every record's flag.
+    @pytest.mark.parametrize("col, entry, failed, passed", [
+        (-3, "2*s*x^2", "relations_match_b", "column_bidegrees_ok"),
+        (-1, "t*x*y", "column_bidegrees_ok", "relations_match_b"),
+    ], ids=["doubled_s", "wrong_bidegree"])
+    def test_wrong_entry_of_a_n_fails_every_record(self, monkeypatch, capsys, col, entry,
+                                                   failed, passed):
+        build_a = cli.build_a
+
+        def corrupted(dminus1, field):
+            a = build_a(dminus1, field)
+            if dminus1 < 5:
+                return a
+            rows = [dict(row) for row in a.nonzeros]
+            rows[-1][a.cols + col] = parse_poly(entry, field)
+            return PolyMatrix.from_nonzeros(field, a.cols, rows)
+
+        monkeypatch.setattr(cli, "build_a", corrupted)
+        assert main(["cohomology", "--d-min", "2", "--d-max", "6"]) == EXIT_CHECK_FAILED
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_pass"] is False
+        assert [r["component"][failed] for r in payload["records"]] == [False] * 5
+        assert [r["component"][passed] for r in payload["records"]] == [True] * 5
 
     @pytest.mark.parametrize("argv, module", [
         (["cohomology", "--d-min", "2", "--d-max", "6"], cohomology),

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cokerlab import cohomology
 from cokerlab.arith import (
@@ -209,6 +211,27 @@ class TestComponent:
         for m in (build_b(3, Q), build_a(3, Q).without_columns([0])):
             with pytest.raises(ValueError):
                 component_dd(m)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_component_of_a_leading_block_is_a_leading_block(self, data):
+        # A_N with a random linear form in s, t at each band position: the
+        # component of every A_(d-1) is the leading block of A_N's, the fact
+        # that lets cohomology check A_N alone.
+        field = data.draw(st.sampled_from([Q, F2, F7]))
+        n = data.draw(st.integers(1, 12))
+        coeffs = st.integers(-3, 3)
+        rows = [{c: MultiPoly(field, {Monomial.from_dict({"s": 1, "x": 2 + r - c, "y": c - r}):
+                                      data.draw(coeffs),
+                                      Monomial.from_dict({"t": 1, "x": 2 + r - c, "y": c - r}):
+                                      data.draw(coeffs)})
+                 for c in range(r, r + 3)} for r in range(n)]
+        a = PolyMatrix.from_nonzeros(field, n + 2, rows)
+        relations = component_dd(a).relations
+        for m in range(1, n + 1):
+            block = a.without_rows(range(m, n)).without_columns(range(m + 2, n + 2))
+            assert component_dd(block).relations \
+                == relations.without_rows(range(m, n)).without_columns(range(m, n))
 
 
 class TestTorsionWitness:

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cokerlab.arith import Field, Monomial, parse_poly, tau
+from cokerlab import frobenius
+from cokerlab.arith import Field, Monomial, MultiPoly, parse_poly, tau
 from cokerlab.factor import accumulate_distinct
 from cokerlab.frobenius import (
     CASE_AT_N,
@@ -10,11 +13,12 @@ from cokerlab.frobenius import (
     defining_quartic,
     witness_growth,
 )
-from cokerlab.matrices import build_b, build_m, det
+from cokerlab.matrices import PolyMatrix, build_b, build_m, det
 
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F7 = Field.prime(7)
 
 
 def qp(text):
@@ -105,6 +109,32 @@ class TestComponent:
                     assert column[j + 3] == qp("s")
                     others = [r for r in range(d + 1) if r not in (j + 1, j + 2, j + 3)]
                     assert all(column[r].is_zero() for r in others)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_collapse_at_each_n_is_a_leading_block(self, data):
+        # M_d with a random linear form in s, t at each band position (r, j),
+        # the same for every d: the collapse at each n is the leading block of
+        # the collapse at the largest, the fact that lets collapse() take one.
+        field = data.draw(st.sampled_from([Q, F2, F7]))
+        top = data.draw(st.integers(4, 12))
+        coeffs = st.integers(-3, 3)
+        forms = {(j + k, j): MultiPoly(field, {Monomial.from_dict({"s": 1}): data.draw(coeffs),
+                                               Monomial.from_dict({"t": 1}): data.draw(coeffs)})
+                 for j in range(top) for k in (1, 2, 3)}
+
+        def banded_m(d, field):
+            return PolyMatrix.from_nonzeros(field, d - 3, [
+                {j: forms[r, j] for j in range(d - 3) if (r, j) in forms}
+                for r in range(d + 1)])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frobenius, "build_m", banded_m)
+            relations = component_t(top + 2, top + 3, field).presentation.relations
+            for n in range(6, top + 3):
+                m = n - 2
+                assert component_t(n, n + 1, field).presentation.relations \
+                    == relations.without_rows(range(m, top)).without_columns(range(m, top))
 
 
 class TestWitnessGrowth:
