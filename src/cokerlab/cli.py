@@ -17,6 +17,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -66,8 +67,9 @@ class RunConfig:
 
 def parse_index_set(text: str, low: int, high: int) -> tuple:
     """Parse a set expression: comma-separated integers and a..b ranges, each
-    within low..high, which is checked before a range is expanded."""
-    items: list = []
+    within low..high, which is checked before a range is expanded; ranges are
+    deduplicated as they expand, so repeating one costs no memory."""
+    items: dict = {}
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -81,8 +83,8 @@ def parse_index_set(text: str, low: int, high: int) -> tuple:
             raise UsageError(f"descending range {piece!r}")
         if lo < low or hi > high:
             raise UsageError(f"set entry {piece!r} is outside {low}..{high}")
-        items.extend(range(lo, hi + 1))
-    return tuple(dict.fromkeys(items))
+        items.update(zip(range(lo, hi + 1), repeat(None)))
+    return tuple(items)
 
 
 def _parse_field(spec: str) -> Field:
@@ -260,28 +262,28 @@ def run_cohomology(config: RunConfig) -> tuple:
 
 
 def run_frobenius(config: RunConfig) -> tuple:
-    records = []
-    reports = []
-    for n, (relations, report) in zip(config.n_set,
-                                      collapse(config.n_set, config.field, config.seed)):
-        reports.append(report)
-        records.append({
-            "n": n,
-            "d": n + 1,
-            "case": CASE_AT_N_PLUS_1,
-            "matrix": relations.to_strings(),
-            # factor_tau factors tau_(n-2), the determinant collapse certifies.
-            "det": str(report.input),
-            # collapse raises unless the relations at d = n + 1 equal the
-            # leading block B_(n-2) of the one matrix it certifies ...
-            "collapse_matches_b": True,
-            # ... so certify_det_b proves det = tau_(n-2).
-            "det_equals_tau": True,
-            "factors": _factors_json(report),
-        })
+    b, reports = collapse(config.n_set, config.field, config.seed)
+    # Entries keep their positions in a leading block, so the block B_(n-2)
+    # renders as the leading slice of B_N's rendering.
+    rows = b.to_strings()
     growth = accumulate_reports(config.n_set, reports)
-    for record, new, cum in zip(records, growth.new_distinct, growth.cumulative_distinct):
-        record.update(new_witnesses=new, cumulative_witnesses=cum)
+    records = [{
+        "n": n,
+        "d": n + 1,
+        "case": CASE_AT_N_PLUS_1,
+        "matrix": [row[:n - 2] for row in rows[:n - 2]],
+        # factor_tau factors tau_(n-2), the determinant collapse certifies.
+        "det": str(report.input),
+        # collapse raises unless the relations at d = n + 1 equal the
+        # leading block B_(n-2) of the one matrix it certifies ...
+        "collapse_matches_b": True,
+        # ... so certify_det_b proves det = tau_(n-2).
+        "det_equals_tau": True,
+        "factors": _factors_json(report),
+        "new_witnesses": new,
+        "cumulative_witnesses": cum,
+    } for n, report, new, cum in zip(config.n_set, reports, growth.new_distinct,
+                                     growth.cumulative_distinct)]
     payload = _envelope(config)
     payload.update({"n_set": list(config.n_set), "records": records, "all_pass": True})
     return payload, True
@@ -328,12 +330,10 @@ def render_csv(payload: dict) -> str:
                          str(r["torsion_certificate"]["nonmembership"]["outcome"]
                              == "no_solution"),
                          len(r["prime_witnesses"])))
-    elif command == "frobenius":
+    else:
         rows = [("n", "new_witnesses", "cumulative")]
         for r in payload["records"]:
             rows.append((r["n"], r["new_witnesses"], r["cumulative_witnesses"]))
-    else:
-        raise ValueError(f"unknown command {command!r}")
     return _csv_text(rows)
 
 
@@ -368,7 +368,7 @@ def render_text(payload: dict) -> str:
                 f"torsion annihilator={r['torsion_certificate']['annihilator']}; "
                 f"nonmembership=PASS; witnesses: {witnesses}")
         lines.append(f"RESULT: {'PASS' if payload['all_pass'] else 'FAIL'}")
-    elif command == "frobenius":
+    else:
         for r in payload["records"]:
             lines.append(
                 f"n={r['n']} (d={r['d']}, case={r['case']}): "
@@ -378,8 +378,6 @@ def render_text(payload: dict) -> str:
                 f"{'PASS' if r['det_equals_tau'] else 'FAIL'}; "
                 f"new={r['new_witnesses']} cumulative={r['cumulative_witnesses']}")
         lines.append(f"RESULT: {'PASS' if payload['all_pass'] else 'FAIL'}")
-    else:
-        raise ValueError(f"unknown command {command!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,7 +6,8 @@ two rows drop at each end and the presentation collapses onto the square
 tridiagonal matrix B_(n-2), whose determinant drives the distinct-witness
 growth.  collapse() builds and certifies B_(max n - 2) once, proving det B_m =
 tau_m for each leading block B_m, and collapses the quotient of the largest n
-once: every n's collapsed relations are the leading block B_(n-2) of it.
+once; it returns that matrix with each n's factor report, and each n's
+collapsed relations are its leading block B_(n-2).
 """
 
 from __future__ import annotations
@@ -93,14 +94,14 @@ def component_t(n: int, d: int, field: Field) -> FrobeniusComponent:
                               presentation=Presentation(generators, relations))
 
 
-def collapse(n_set: Sequence[int], field: Field, seed: Optional[int]) -> list:
-    """[(relations, report)] at d = n + 1, for each n in n_set in order.
+def collapse(n_set: Sequence[int], field: Field, seed: Optional[int]) -> tuple:
+    """(B_N, [report for each n in n_set in order]), N = max(n_set) - 2.
 
-    B_N, N = max(n_set) - 2, is built once, and certify_det_b proves
-    det(B_m) = tau_m for each leading block B_m of it.  ArithmeticError is
-    raised unless the largest n's collapsed relations equal B_N, so each n's
-    are the block B_(n-2), whose determinant tau_(n-2) factor_tau's
-    Rabin-proven splits factor: report.input is that determinant.
+    B_N is built once, and certify_det_b proves det(B_m) = tau_m for each
+    leading block B_m of it.  ArithmeticError is raised unless the largest n's
+    collapsed relations equal B_N, so each n's are the block B_(n-2), whose
+    determinant tau_(n-2) factor_tau's Rabin-proven splits factor:
+    report.input is that determinant.
     """
     if not n_set or any(n < 6 for n in n_set):
         raise ValueError("collapse requires a nonempty n_set with every n >= 6")
@@ -111,8 +112,7 @@ def collapse(n_set: Sequence[int], field: Field, seed: Optional[int]) -> list:
     # each n's collapsed relations are a leading block of the largest n's.
     if component_t(top + 2, top + 3, field).presentation.relations != b:
         raise ArithmeticError(f"row deletion at n = {top + 2} did not collapse onto B_{top}")
-    return [(b.without_rows(range(n - 2, top)).without_columns(range(n - 2, top)),
-             factor_tau(n - 2, field, seed)) for n in n_set]
+    return b, [factor_tau(n - 2, field, seed) for n in n_set]
 
 
 def witness_growth(n_set: Sequence[int], field: Field,
@@ -121,4 +121,4 @@ def witness_growth(n_set: Sequence[int], field: Field,
     across the given n values in order, from collapse()'s certified factor
     report for each n."""
     values = list(n_set)
-    return accumulate_reports(values, [report for _, report in collapse(values, field, seed)])
+    return accumulate_reports(values, collapse(values, field, seed)[1])

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,19 @@ class TestIndexSetParsing:
         for bad in ["", "a", "3..", "5..3", "1,,2"]:
             with pytest.raises(UsageError):
                 parse_index_set(bad, 1, 200)
+
+    def test_repeated_ranges_are_deduplicated_as_they_expand(self):
+        # 18,000 copies of one range name 200 indices; expanding them all
+        # before deduplicating traced a 32 MB peak.
+        text = ",".join(["1..200"] * 18000)
+        tracemalloc.start()
+        try:
+            parsed = parse_index_set(text, 1, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == tuple(range(1, 201))
+        assert peak < 4_000_000
 
     def test_rejects_entries_outside_the_bounds(self):
         for bad in ["0", "201", "0..5", "190..201", f"3,1..{10 ** 20}"]:
@@ -312,6 +326,14 @@ class TestReproducibility:
                      "--output", str(out)]) == EXIT_OK
         assert out.read_bytes() == (GOLDEN_DIR / "frobenius_n8_q.json").read_bytes()
 
+    def test_frobenius_unsorted_prime_field_golden(self, tmp_path):
+        # Several leading blocks of one B_N, over F_5, in input order.
+        out = tmp_path / "report.json"
+        assert main(["frobenius", "--n-set", "9,6,12,7", "--field", "fp:5",
+                     "--output", str(out)]) == EXIT_OK
+        assert out.read_bytes() \
+            == (GOLDEN_DIR / "frobenius_n9_6_12_7_fp5.json").read_bytes()
+
 
 def _count_calls(monkeypatch, module, name) -> list:
     calls = []
@@ -383,6 +405,8 @@ class TestComputedOnce:
         determinants = _count_bindings(monkeypatch, "continuant")
         substitutions = _count_calls(monkeypatch, PolyMatrix, "substitute")
         matrices_made = _count_calls(monkeypatch, PolyMatrix, "__init__")
+        renderings = _count_calls(monkeypatch, PolyMatrix, "to_strings")
+        blocks = _count_calls(monkeypatch, PolyMatrix, "without_columns")
         assert main(argv) == EXIT_OK
         assert [args[0] for args in builds] == b_sizes
         assert [args[0].rows for args in certificates] == b_sizes
@@ -399,8 +423,10 @@ class TestComputedOnce:
         assert a_builds == substitutions == []
         if argv[0] == "frobenius":
             # No determinant is taken, and each printed matrix is a leading
-            # block of the certified one.
+            # block of the certified one, sliced from its one rendering.
             assert determinants == []
+            assert len(renderings) == 1
+            assert blocks == []
             certified = certificates[0][0].to_strings()
             records = json.loads(capsys.readouterr().out)["records"]
             assert [r["matrix"] for r in records] \
