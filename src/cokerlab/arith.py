@@ -11,7 +11,7 @@ is pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -44,18 +44,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(namedtuple("Field", "p", defaults=(None,))):
     """The rationals (``p is None``) or the prime field F_p."""
 
-    p: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> Field:
+        self = super().__new__(cls, *args, **kwargs)
         if self.p is not None:
             if self.p >= _PRIME_BOUND:
                 raise ValueError(f"prime {self.p} exceeds the supported bound 2^31")
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
+        return self
 
     @classmethod
     def rationals(cls) -> Field:

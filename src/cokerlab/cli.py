@@ -16,10 +16,9 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .arith import Field, Form, UniPoly, tau
@@ -51,18 +50,12 @@ class UsageError(Exception):
     """Configuration rejected before any computation ran."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    field: Field
-    fmt: str
-    output: Optional[Path]
-    seed: Optional[int]
-    max_i: Optional[int] = None
-    index_set: Optional[tuple] = None
-    d_min: Optional[int] = None
-    d_max: Optional[int] = None
-    n_set: Optional[tuple] = None
+class RunConfig(namedtuple("RunConfig", "command field fmt output seed "
+                                        "max_i index_set d_min d_max n_set",
+                            defaults=(None,) * 5)):
+    """One subcommand's validated options; those of other subcommands are None."""
+
+    __slots__ = ()
 
 
 def parse_index_set(text: str, low: int, high: int) -> tuple:

@@ -11,9 +11,9 @@ generator, and irreducible prime witnesses from the determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .arith import Field, Form, Monomial, MultiPoly, UniPoly, tau
 from .factor import FactorReport
@@ -47,16 +47,16 @@ def _multiplier_action(field: Field) -> tuple:
     return tuple((MultiPoly(field, part), a, b) for (a, b), part in sorted(grouped.items()))
 
 
-@dataclass(frozen=True)
-class InverseMonomial:
+class InverseMonomial(namedtuple("InverseMonomial", "alpha beta")):
     """u^-alpha * v^-beta, stored through its positive exponent parts."""
 
-    alpha: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> InverseMonomial:
+        self = super().__new__(cls, *args, **kwargs)
         if self.alpha < 1 or self.beta < 1:
             raise ValueError("inverse monomial exponents must be >= 1")
+        return self
 
     @property
     def degree(self) -> int:
@@ -141,10 +141,8 @@ def matrix_of_f(d: int, field: Field) -> PolyMatrix:
 # Bigrading.
 
 
-@dataclass(frozen=True)
-class Bidegree:
-    total: int
-    weight: int
+class Bidegree(namedtuple("Bidegree", "total weight")):
+    __slots__ = ()
 
     def as_pair(self) -> tuple:
         return (self.total, self.weight)
@@ -186,26 +184,25 @@ def column_bidegree(matrix: PolyMatrix, col: int) -> Bidegree:
 # The (d,d) component.
 
 
-@dataclass(frozen=True)
-class Generator:
-    monomial: Monomial
-    index: int
-    bidegree: Optional[Bidegree]
+class Generator(namedtuple("Generator", "monomial index bidegree")):
+    """A monomial generator in basis slot ``index``, with its bidegree or None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "generators relations")):
     """Ordered generators together with the relation matrix among them."""
 
-    generators: tuple
-    relations: PolyMatrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> Presentation:
+        self = super().__new__(cls, *args, **kwargs)
         if self.relations.rows != len(self.generators):
             raise ValueError("relation rows must match the generator count")
         marked = {g.bidegree for g in self.generators if g.bidegree is not None}
         if len(marked) > 1:
             raise ValueError("component generators must share one bidegree")
+        return self
 
 
 def component_dd(a: PolyMatrix) -> Presentation:
@@ -250,18 +247,14 @@ def component_dd(a: PolyMatrix) -> Presentation:
 # Certificates.
 
 
-@dataclass(frozen=True)
-class TorsionWitness:
+class TorsionWitness(namedtuple("TorsionWitness",
+                                 "d annihilator solution failed_column relations")):
     """Certifies that the class of e_1 in the cokernel of the square matrix
     ``relations`` (B_(d-1)) is nonzero torsion: the annihilator tau_(d-1)
     = det(relations) times e_1 is hit exactly, while e_1 itself is certified
     outside the image."""
 
-    d: int
-    annihilator: Form
-    solution: tuple
-    failed_column: int
-    relations: PolyMatrix
+    __slots__ = ()
 
 
 def torsion_witness(d_set: Sequence[int], field: Field) -> list:
@@ -295,14 +288,11 @@ def torsion_witness(d_set: Sequence[int], field: Field) -> list:
     return witnesses
 
 
-@dataclass(frozen=True)
-class PrimeWitness:
+class PrimeWitness(namedtuple("PrimeWitness", "generator source_d avoids_s")):
     """An irreducible homogeneous divisor of the determinant, generating a
     minimal prime of the component's support."""
 
-    generator: Form
-    source_d: int
-    avoids_s: bool
+    __slots__ = ()
 
 
 def prime_witnesses(d: int, report: FactorReport) -> list:

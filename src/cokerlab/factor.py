@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -35,19 +34,18 @@ _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes -> struct format code, a
 # Reports.
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(namedtuple("FactorReport", "input unit factors")):
     """Factorization into canonically normalized irreducibles.
 
+    ``factors`` holds pairs (polynomial, multiplicity >= 1), and
     unit * product(factor^multiplicity) reassembles the input exactly; this
     and the squarefree product of the distinct factors are re-verified.
     """
 
-    input: Union[Form, UniPoly]
-    unit: Union[int, Fraction]
-    factors: tuple  # pairs (polynomial, multiplicity >= 1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> FactorReport:
+        self = super().__new__(cls, *args, **kwargs)
         homogeneous = isinstance(self.input, Form)
         # unit * prod(u^(mult-1)) * distinct multiplies each simple factor once.
         product = UniPoly.constant(self.input.field, self.unit)
@@ -73,6 +71,7 @@ class FactorReport:
         # part in t is 1, may divide one factor only.
         if s_divisible > 1 or not _is_squarefree(distinct):
             raise ArithmeticError("factors are not pairwise coprime")
+        return self
 
     def factor_strings(self) -> list:
         return [str(poly) for poly, _ in self.factors]
@@ -102,21 +101,21 @@ def _is_canonical_factor(poly: Union[Form, UniPoly]) -> bool:
     return lead == field.one
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Distinct irreducible factors accumulated along an index set."""
+class GrowthReport(namedtuple("GrowthReport",
+                               "index_set per_index new_distinct cumulative_distinct")):
+    """Distinct irreducible factors accumulated along an index set, with the
+    FactorReport of each index, in order, in ``per_index``."""
 
-    index_set: tuple
-    per_index: tuple  # FactorReport per index, in order
-    new_distinct: tuple
-    cumulative_distinct: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GrowthReport:
+        self = super().__new__(cls, *args, **kwargs)
         if not (len(self.index_set) == len(self.per_index)
                 == len(self.new_distinct) == len(self.cumulative_distinct)):
             raise ValueError("misaligned growth report columns")
         if any(b < a for a, b in zip(self.cumulative_distinct, self.cumulative_distinct[1:])):
             raise ValueError("cumulative count must be non-decreasing")
+        return self
 
     @property
     def final_distinct(self) -> int:
@@ -522,18 +521,13 @@ def _split_cyclotomic(m: int, field: Field, seed: Optional[int]) -> tuple:
 # Separability of sigma at prime-power indices.
 
 
-@dataclass(frozen=True)
-class SeparabilityCertificate:
+class SeparabilityCertificate(namedtuple(
+        "SeparabilityCertificate", "p m index gcd squarefree telescoping_ok")):
     """gcd(sigma_i, sigma_i') over F_p at the index i = p^m - 2, together
     with the squarefree verdict and the telescoping identity check
     sigma_i * (t - 1) = t^(p^m - 1) - 1."""
 
-    p: int
-    m: int
-    index: int
-    gcd: UniPoly
-    squarefree: bool
-    telescoping_ok: bool
+    __slots__ = ()
 
 
 def separability_check(p: int, m: int) -> SeparabilityCertificate:

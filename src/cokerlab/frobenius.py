@@ -12,7 +12,7 @@ collapsed relations are its leading block B_(n-2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .arith import Field, Monomial, MultiPoly
@@ -34,17 +34,14 @@ def defining_quartic(field: Field) -> MultiPoly:
     return x * y * (x - y) * (s * x - t * y)
 
 
-@dataclass(frozen=True)
-class FrobeniusComponent:
+class FrobeniusComponent(namedtuple("FrobeniusComponent", "n d case presentation")):
     """One graded component, its presentation, and which truncation case
     produced it."""
 
-    n: int
-    d: int
-    case: str
-    presentation: Presentation
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> FrobeniusComponent:
+        self = super().__new__(cls, *args, **kwargs)
         rows = self.presentation.relations.rows
         cols = self.presentation.relations.cols
         expected = {
@@ -55,6 +52,7 @@ class FrobeniusComponent:
         if (rows, cols) != expected:
             raise ValueError(f"presentation shape {(rows, cols)} does not "
                              f"match case {self.case}")
+        return self
 
 
 def _monomial_generators(d: int, j_range) -> tuple:

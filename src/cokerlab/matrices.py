@@ -13,8 +13,8 @@ and square-system membership are kept as structure-blind oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .arith import Field, Form, MultiPoly, UniPoly, exact_divide, tau
 
@@ -346,8 +346,8 @@ def adjugate_column(m: PolyMatrix, j: int) -> list:
 # Square-system membership.
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(namedtuple("MembershipCertificate", "solution failed_column",
+                                       defaults=(None, None))):
     """Outcome of solving B w = v over the polynomial ring.
 
     Either ``solution`` holds the exact polynomial solution, or
@@ -355,12 +355,13 @@ class MembershipCertificate:
     exact division by det(B) fails, witnessing non-membership.
     """
 
-    solution: Optional[tuple] = None
-    failed_column: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> MembershipCertificate:
+        self = super().__new__(cls, *args, **kwargs)
         if (self.solution is None) == (self.failed_column is None):
             raise ValueError("certificate must carry exactly one outcome")
+        return self
 
     @property
     def is_solution(self) -> bool:

@@ -750,6 +750,16 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert "cokerlab" in result.stdout
 
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # dataclasses, and the inspect module it imports, cost milliseconds at
+        # every CLI start-up; the records are named tuples instead.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cokerlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
 
 class TestPackageExports:
     def test_every_export_resolves(self):
