@@ -5,9 +5,10 @@ product of the Phi_m over the divisors m > 1 of i + 1.  Over the rationals
 each Phi_m is irreducible (classical and assumed).  Over F_p, with
 i + 1 = p^e * n and p not dividing n, the multiplicities come from p^e, and
 each Phi_m with m | n splits into phi(m)/ord_m(p) irreducibles of degree
-ord_m(p); it is split once per process by equal-degree splitting with that
-known degree, and every factor is proven irreducible by Rabin's test.
-Each report re-verifies reassembly and the squarefree product of its factors.
+ord_m(p).  It is split once per process by random Frobenius-fixed elements
+of F_p[x]/(x^m - 1), where Frobenius x^c -> x^(pc mod m) only permutes the
+exponents, and every factor is proven irreducible by Rabin's test.  Each
+report re-verifies reassembly and the squarefree product of its factors.
 
 Other inputs go through the generic engines, which the tests use as oracles:
 exact cyclotomic trial division over Q, and over a prime field squarefree
@@ -122,16 +123,11 @@ class GrowthReport(namedtuple("GrowthReport",
         return self.cumulative_distinct[-1] if self.cumulative_distinct else 0
 
     def to_json_dict(self) -> dict:
-        records = []
-        for idx, rep, new, cum in zip(self.index_set, self.per_index,
-                                      self.new_distinct, self.cumulative_distinct):
-            records.append({
-                "index": idx,
-                "unit": str(rep.unit),
-                "factors": [{"factor": str(p), "multiplicity": m} for p, m in rep.factors],
-                "new_distinct": new,
-                "cumulative_distinct": cum,
-            })
+        records = [{"index": idx, "unit": str(rep.unit),
+                    "factors": [{"factor": str(p), "multiplicity": m} for p, m in rep.factors],
+                    "new_distinct": new, "cumulative_distinct": cum}
+                   for idx, rep, new, cum in zip(self.index_set, self.per_index,
+                                                 self.new_distinct, self.cumulative_distinct)]
         return {"indices": list(self.index_set),
                 "records": records,
                 "final_distinct": self.final_distinct}
@@ -139,9 +135,7 @@ class GrowthReport(namedtuple("GrowthReport",
 
 def accumulate_reports(indices: Sequence[int], reports: Sequence[FactorReport]) -> GrowthReport:
     """Deduplicate factors across reports and build the growth columns."""
-    seen: set = set()
-    new_counts = []
-    cumulative = []
+    seen, new_counts, cumulative = set(), [], []
     for rep in reports:
         fresh = {poly for poly, _ in rep.factors} - seen
         seen |= fresh
@@ -183,8 +177,7 @@ def cyclotomic(n: int) -> UniPoly:
 
 def _prime_divisors(n: int) -> list:
     """The distinct primes dividing n >= 1, by trial division."""
-    primes = []
-    q = 2
+    primes, q = [], 2
     while q * q <= n:
         if n % q == 0:
             primes.append(q)
@@ -249,17 +242,20 @@ class _ModRing:
     multiply; slots of 1, 2, 4 or 8 bytes pack through struct."""
 
     def __init__(self, f: UniPoly):
-        p, n = f.field.p, f.degree()
-        self.f, self.p, self.n = f, p, n
-        w = 2 * p.bit_length() + n.bit_length() + 1
-        self.size = next((b for b in _WORDS if 8 * b >= w), -(-w // 8))
-        self.code = _WORDS.get(self.size)
+        self._slots(f.field.p, f.degree())
+        p, n, self.f = self.p, self.n, f
         # table[j - n] = x^j mod f for n <= j <= 2n - 2, from x^n = -(f - x^n).
         low = [-c % p for c in f.coeffs[:n]]
         row, self.table = low, []
         for _ in range(n - 1):
             self.table.append(self.pack(row))
             row = [(a + row[-1] * b) % p for a, b in zip([0] + row, low)]
+
+    def _slots(self, p: int, n: int) -> None:
+        self.p, self.n = p, n
+        w = 2 * p.bit_length() + n.bit_length() + 1
+        self.size = next((b for b in _WORDS if 8 * b >= w), -(-w // 8))
+        self.code = _WORDS.get(self.size)
 
     def pack(self, c: list) -> int:
         return int.from_bytes(struct.pack(f"<{len(c)}{self.code}", *c) if self.code else
@@ -277,7 +273,10 @@ class _ModRing:
         return self.unpack(low + sum(c * row for c, row in zip(coeffs, rows) if c), self.n)
 
     def mul(self, a: list, b: list) -> list:
-        product, split = self.pack(a) * self.pack(b), 8 * self.size * self.n
+        return self.reduce(self.pack(a) * self.pack(b))
+
+    def reduce(self, product: int) -> list:  # a packed product of two elements
+        split = 8 * self.size * self.n
         return self.dot(product & ((1 << split) - 1),
                         self.unpack(product >> split, self.n - 1), self.table)
 
@@ -294,10 +293,10 @@ class _ModRing:
 
     def frobenius_rows(self) -> list:
         """f's Frobenius (Berlekamp Q-) matrix: packed rows x^(p*j) mod f, j < n."""
-        xp = self.pow(self.elem(UniPoly.gen(self.f.field)), self.p)
-        rows = [self.pack([1] + [0] * (self.n - 1))]
+        xp = self.pack(self.pow(self.elem(UniPoly.gen(self.f.field)), self.p))
+        rows = [1]  # x^0
         for _ in range(self.n - 1):
-            rows.append(self.pack(self.mul(self.unpack(rows[-1], self.n), xp)))
+            rows.append(self.pack(self.reduce(rows[-1] * xp)))
         return rows
 
     def conjugate_fold(self, r: list, k: int, rows: list, combine) -> list:
@@ -313,6 +312,18 @@ class _ModRing:
             if bit == "1":
                 acc, j = combine(r, self.dot(0, acc, rows)), j + 1
         return acc
+
+
+class _CyclicRing(_ModRing):
+    """F_p[x]/(x^m - 1): as x^m = 1, a product is reduced by adding its high
+    slots onto its low ones, so each slot sums m products of residues."""
+
+    def __init__(self, p: int, m: int):
+        self._slots(p, m)
+
+    def reduce(self, product: int) -> list:
+        split = 8 * self.size * self.n
+        return self.unpack((product & ((1 << split) - 1)) + (product >> split), self.n)
 
 
 def _squarefree_parts(f: UniPoly) -> list:
@@ -345,11 +356,8 @@ def _squarefree_parts(f: UniPoly) -> list:
 
 def _distinct_degree(f: UniPoly) -> list:
     """Split a monic squarefree f into (product of degree-k irreducibles, k)."""
-    p = f.field.p
-    x = UniPoly.gen(f.field)
-    result = []
-    g, ring, h = f, _ModRing(f), x
-    k = 0
+    p, x, result = f.field.p, UniPoly.gen(f.field), []
+    g, ring, h, k = f, _ModRing(f), x, 0
     while g.degree() >= 2 * (k + 1):
         k += 1
         h = UniPoly._exact(f.field, ring.pow(ring.elem(h), p))
@@ -369,28 +377,48 @@ def _random_poly(rng: random.Random, field: Field, degree: int) -> list:
 
 def _equal_degree(f: UniPoly, k: int, rng: random.Random) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-k
-    irreducibles into the irreducibles themselves, by refinement: each trial
-    splits every part not yet of degree k by its gcd with one h modulo f.
-
-    For odd p, h = r^((p^k-1)/2) - 1 =
-    (r * r^p * ... * r^(p^(k-1)))^((p-1)/2) - 1, and for p = 2 the trace
-    r + r^2 + ... + r^(2^(k-1)); each r^(p^j) is a vector-matrix product
-    with f's Frobenius matrix (von zur Gathen and Shoup, 1992)."""
+    irreducibles: a random r is taken into F_p at each factor by its norm
+    r * r^p * ... * r^(p^(k-1)), or for p = 2 its trace r + r^2 + ... +
+    r^(2^(k-1)), each r^(p^j) a vector-matrix product with f's Frobenius
+    matrix (von zur Gathen and Shoup, 1992)."""
     n = f.degree()
     if n == k:
         return [f]
-    p = f.field.p
     ring = _ModRing(f)
     rows = ring.frobenius_rows() if k > 1 else None
-    parts = [f]
+    combine = ring.mul if f.field.p > 2 else lambda a, b: [u ^ v for u, v in zip(a, b)]
+    return _refine(f, k, ring, lambda: ring.conjugate_fold(
+        _random_poly(rng, f.field, n - 1), k, rows, combine))
+
+
+def _split_fixed(f: UniPoly, m: int, rng: random.Random) -> list:
+    """Split f = Phi_m mod p into its irreducibles of degree k = ord_m(p) by
+    random Frobenius-fixed elements of F_p[x]/(x^m - 1) (see _split_cyclotomic)."""
+    p, orbit, count = f.field.p, [-1] * m, 0  # orbit[c]: the index of c's orbit
+    for c in range(m):
+        if orbit[c] < 0:
+            while orbit[c] < 0:
+                orbit[c], c = count, c * p % m
+            count += 1
+    k = orbit.count(orbit[1])
+    if f.degree() == k:
+        return [f]
+    # Each trial draws one residue per orbit.
+    return _refine(f, k, _CyclicRing(p, m), lambda: list(map(
+        _random_poly(rng, f.field, count - 1).__getitem__, orbit)))
+
+
+def _refine(f: UniPoly, k: int, ring: _ModRing, draw) -> list:
+    """Split f, a product of degree-k irreducibles: each trial draws an r in
+    F_p at each factor and splits every part not yet of degree k by its gcd
+    with h = r^((p-1)/2) - 1 (h = r for p = 2), zero at about half of them."""
+    p, parts = f.field.p, [f]
     for _ in range(_EDF_MAX_TRIES):
-        r = _random_poly(rng, f.field, n - 1)
-        if p == 2:
-            acc = ring.conjugate_fold(r, k, rows, lambda a, b: [u ^ v for u, v in zip(a, b)])
-        else:
-            acc = ring.pow(ring.conjugate_fold(r, k, rows, ring.mul), (p - 1) // 2)
-            acc[0] -= 1
-        h = UniPoly._exact(f.field, acc)
+        h = draw()
+        if p > 2:
+            h = ring.pow(h, (p - 1) // 2)
+            h[0] -= 1
+        h = UniPoly._exact(f.field, h)
         refined = []
         for part in parts:
             g = gcd_univariate(part, h) if part.degree() > k else part
@@ -501,19 +529,20 @@ def _factor_sigma_mod_p(i: int, field: Field, seed: Optional[int]) -> list:
 @lru_cache(maxsize=None)
 def _split_cyclotomic(m: int, field: Field, seed: Optional[int]) -> tuple:
     """Phi_m mod p, for p not dividing m, as its phi(m)/k monic irreducible
-    factors of degree k = ord_m(p) (Lidl and Niederreiter, Finite Fields,
-    Thm 2.47), each proven irreducible by Rabin's test."""
-    p = field.p
-    k, power = 1, p % m
-    while power != 1:
-        power = power * p % m
-        k += 1
+    factors of degree k = ord_m(p), each proven irreducible by Rabin's test.
+
+    They are split in F_p[x]/(x^m - 1).  An r whose coefficients are constant
+    on the orbits of c -> pc on Z/m has r^p = r, and the orbits are as many as
+    the irreducible factors of x^m - 1, the product of the Phi_d over d | m
+    (Lidl and Niederreiter, Finite Fields, Thm 2.47).  So such r make up the
+    whole Frobenius-fixed algebra, F_p at each factor, and a random one is a
+    random residue at each factor of Phi_m, drawn with no Frobenius matrix."""
     phi = UniPoly(field, cyclotomic(m).coeffs)
-    factors = _equal_degree(phi, k, random.Random(f"{seed}:{m}"))
+    factors = _split_fixed(phi, m, random.Random(f"{seed}:{m}"))
     for poly in factors:
         if not _is_irreducible(poly):
             raise ArithmeticError(
-                f"factor {poly} of Phi_{m} mod {p} fails Rabin's irreducibility test")
+                f"factor {poly} of Phi_{m} mod {field.p} fails Rabin's irreducibility test")
     return tuple(factors)
 
 
@@ -562,13 +591,6 @@ def accumulate_distinct(indices: Sequence[int], field: Field,
 def missing_prime_power_indices(indices: Sequence[int], p: int) -> bool:
     """True when no index has the form p^m - 2; along such a set the
     distinct-factor count is not guaranteed to grow."""
-    if not indices:
-        return True
-    top = max(indices)
-    wanted = set()
-    value = p
-    while value - 2 <= top:
-        if value - 2 >= 1:
-            wanted.add(value - 2)
-        value *= p
-    return not (wanted & set(indices))
+    # p^e - 2 <= max(indices) needs e <= bit_length + 1; p^e - 2 = 0 is no index.
+    top = max(indices, default=0)
+    return not set(indices) & {p ** e - 2 for e in range(1, top.bit_length() + 2)} - {0}

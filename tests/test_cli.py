@@ -441,7 +441,7 @@ class TestComputedOnce:
         cyclotomics = {UniPoly(f7, factor.cyclotomic(m).coeffs)
                        for m in range(2, 32) if m % 7}
         factor._split_cyclotomic.cache_clear()
-        blocks = _count_calls(monkeypatch, factor, "_equal_degree")
+        blocks = _count_calls(monkeypatch, factor, "_split_fixed")
         assert main(["factors", "--set", "1..30", "--field", "fp:7"]) == EXIT_OK
         split = [args[0] for args in blocks if args[0] in cyclotomics]
         assert len(split) == len(set(split)) == len(cyclotomics)
@@ -688,7 +688,8 @@ class TestAtTheBound:
         assert payload["all_pass"] is True
         assert len(payload["results"]) == cli.MAX_INDEX
 
-    @pytest.mark.parametrize("field", ["q", "fp:101"])
+    # fp:2 takes the split with h = r, with no power.
+    @pytest.mark.parametrize("field", ["q", "fp:2", "fp:7", "fp:101"])
     def test_factors_at_max_index(self, capsys, field):
         assert main(["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", field]) == EXIT_OK
         records = json.loads(capsys.readouterr().out)["growth"]["records"]

@@ -282,7 +282,7 @@ class TestFactorTau:
     def test_unsplit_block_fails_rabin(self, monkeypatch, fresh_splits):
         # Phi_7 mod 2 is two cubics; a split that returns it whole must not
         # reach a report.
-        monkeypatch.setattr(factor, "_equal_degree", lambda f, k, rng: [f])
+        monkeypatch.setattr(factor, "_split_fixed", lambda f, m, rng: [f])
         with pytest.raises(ArithmeticError):
             factor_tau(6, F2)
 
@@ -371,13 +371,27 @@ class TestRabin:
         def no_split(*args):
             raise AssertionError("Rabin's test called the splitter")
 
-        monkeypatch.setattr(factor, "_equal_degree", no_split)
+        for name in ("_equal_degree", "_split_fixed"):
+            monkeypatch.setattr(factor, name, no_split)
         assert len(factors) > 1
         for g in factors:
             built.clear()
             assert _is_irreducible(g)
             assert built == [g, ("rows", g)]
 
+    def test_split_builds_rings_only_in_rabin(self, monkeypatch, fresh_splits):
+        # Mod 101, Phi_77 is two factors of degree 30.  Its split takes no
+        # table, Frobenius matrix or conjugate fold: each ring and each
+        # matrix built belongs to one factor's Rabin test.
+        built = _record_rings(monkeypatch)
+
+        def no_fold(*args):
+            raise AssertionError("the split took a conjugate fold")
+
+        monkeypatch.setattr(factor._ModRing, "conjugate_fold", no_fold)
+        factors = factor._split_cyclotomic(77, Field.prime(101), None)
+        assert [g.degree() for g in factors] == [30, 30]
+        assert built == [entry for g in factors for entry in (g, ("rows", g))]
 
     @pytest.mark.parametrize("p", [2, 101, BIG_PRIME])
     def test_linear_factors_need_no_ring(self, monkeypatch, p):
@@ -394,13 +408,14 @@ def _order(p, m):
 
 @st.composite
 def _equal_degree_blocks(draw):
-    # A monic squarefree product of degree-k irreducibles and the list of
-    # them, when known: Phi_m mod p, or distinct Rabin-accepted random monics.
+    # A monic squarefree product of degree-k irreducibles, the list of them
+    # when known, and m when it is Phi_m mod p; else distinct Rabin-accepted
+    # random monics.
     p = draw(st.sampled_from((2, 3, 7, 101, BIG_PRIME)))
     field = Field.prime(p)
     if draw(st.booleans()):
         m = draw(st.integers(2, 60).filter(lambda m: m % p))
-        return UniPoly(field, cyclotomic(m).coeffs), _order(p, m), None
+        return UniPoly(field, cyclotomic(m).coeffs), _order(p, m), None, m
     k = draw(st.integers(1, 4))
     residues = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     candidates = draw(st.lists(st.lists(residues, min_size=k, max_size=k),
@@ -410,24 +425,29 @@ def _equal_degree_blocks(draw):
     block = UniPoly.one(field)
     for g in known:
         block = block * g
-    return block, k, sorted(known, key=UniPoly.sort_key)
+    return block, k, sorted(known, key=UniPoly.sort_key), None
 
 
 class TestEqualDegree:
     @settings(max_examples=60, deadline=None)
     @given(_equal_degree_blocks())
     def test_splits_into_irreducibles_of_degree_k(self, case):
-        block, k, known = case
+        # On Phi_m, the split in the Frobenius-fixed algebra agrees with
+        # Cantor-Zassenhaus, the oracle.
+        block, k, known, m = case
         outputs = set()
         for seed in range(3):
-            parts = factor._equal_degree(block, k, random.Random(seed))
-            product = UniPoly.one(block.field)
-            for g in parts:
-                product = product * g
-            assert product == block
-            assert len(parts) == block.degree() // k
-            assert all(g.degree() == k and _is_irreducible(g) for g in parts)
-            outputs.add(tuple(sorted(parts, key=UniPoly.sort_key)))
+            splits = [factor._equal_degree(block, k, random.Random(seed))]
+            if m is not None:
+                splits.append(factor._split_fixed(block, m, random.Random(seed)))
+            for parts in splits:
+                product = UniPoly.one(block.field)
+                for g in parts:
+                    product = product * g
+                assert product == block
+                assert len(parts) == block.degree() // k
+                assert all(g.degree() == k and _is_irreducible(g) for g in parts)
+                outputs.add(tuple(sorted(parts, key=UniPoly.sort_key)))
         assert len(outputs) == 1
         if known is not None:
             assert list(outputs.pop()) == known
@@ -439,6 +459,16 @@ class TestEqualDegree:
                             lambda rng, field, degree: [2] + [0] * degree)
         with pytest.raises(ArithmeticError):
             factor._equal_degree(UniPoly(field, cyclotomic(100).coeffs), 1, random.Random(0))
+
+    @pytest.mark.parametrize("p, m", [(2, 7), (101, 100), (BIG_PRIME, 21)])
+    def test_a_fixed_split_that_never_splits_fails(self, monkeypatch, p, m):
+        # A constant r is c * (1 + x + ... + x^(m-1)), which Phi_m divides:
+        # h = -1 for odd p and h = 0 for p = 2, and neither splits a part.
+        field = Field.prime(p)
+        monkeypatch.setattr(factor, "_random_poly",
+                            lambda rng, field, degree: [1] * (degree + 1))
+        with pytest.raises(ArithmeticError):
+            factor._split_fixed(UniPoly(field, cyclotomic(m).coeffs), m, random.Random(0))
 
     # Mod 101, Phi_77 is two factors of degree 30, Phi_37 six of degree 6,
     # and Phi_100 forty linear factors.
