@@ -7,8 +7,9 @@ i + 1 = p^e * n and p not dividing n, the multiplicities come from p^e, and
 each Phi_m with m | n splits into phi(m)/ord_m(p) irreducibles of degree
 ord_m(p).  It is split once per process by random Frobenius-fixed elements
 of F_p[x]/(x^m - 1), where Frobenius x^c -> x^(pc mod m) only permutes the
-exponents, and every factor is proven irreducible by Rabin's test.  Each
-report re-verifies reassembly and the squarefree product of its factors.
+exponents.  Every factor is proven irreducible by Rabin's test, which reads
+x^(p^j) mod the factor off x^m = 1 once a division proves it divides x^m - 1.
+Each report re-verifies reassembly and the squarefree product of its factors.
 
 Other inputs go through the generic engines, which the tests use as oracles:
 exact cyclotomic trial division over Q, and over a prime field squarefree
@@ -280,13 +281,31 @@ class _ModRing:
         return self.dot(product & ((1 << split) - 1),
                         self.unpack(product >> split, self.n - 1), self.table)
 
-    def pow(self, a: list, e: int) -> list:  # e >= 1
-        result = a
-        for bit in bin(e)[3:]:
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, a)
-        return result
+    def pow(self, a: list, e: int) -> list:
+        """a^e for e >= 1, left to right: by square and multiply below 2^15,
+        and above by 4-bit windows over the odd powers a, a^3, ..., a^15,
+        which multiply once per 4-5 bits instead of once per set bit."""
+        if e < 1 << 15:
+            result = a
+            for bit in bin(e)[3:]:
+                result = self.mul(result, result)
+                if bit == "1":
+                    result = self.mul(result, a)
+            return result
+        odd, square = [self.pack(a)], self.pack(self.mul(a, a))
+        for _ in range(7):
+            odd.append(self.pack(self.reduce(odd[-1] * square)))
+        bits = bin(e)[2:]
+        window = bits[:4].rstrip("0")
+        result, i = odd[int(window, 2) >> 1], len(window)
+        while i < len(bits):
+            window = bits[i:i + 4].rstrip("0") if bits[i] == "1" else "0"
+            for _ in window:
+                result = self.pack(self.reduce(result * result))
+            if window != "0":
+                result = self.pack(self.reduce(result * odd[int(window, 2) >> 1]))
+            i += len(window)
+        return self.unpack(result, self.n)
 
     def elem(self, u: UniPoly) -> list:
         return list((u % self.f).coeffs + (0,) * self.n)[:self.n]
@@ -418,7 +437,7 @@ def _refine(f: UniPoly, k: int, ring: _ModRing, draw) -> list:
         if p > 2:
             h = ring.pow(h, (p - 1) // 2)
             h[0] -= 1
-        h = UniPoly._exact(f.field, h)
+        h = UniPoly._exact(f.field, h) % f  # so each part's gcd starts below deg f
         refined = []
         for part in parts:
             g = gcd_univariate(part, h) if part.degree() > k else part
@@ -429,21 +448,26 @@ def _refine(f: UniPoly, k: int, ring: _ModRing, draw) -> list:
     raise ArithmeticError("equal-degree splitting failed to converge")
 
 
-def _is_irreducible(g: UniPoly) -> bool:
-    """Rabin's test for a monic g of degree k >= 1 over F_p: g is irreducible
-    iff x^(p^k) = x mod g and gcd(x^(p^(k/r)) - x, g) = 1 for every prime r
-    dividing k (Rabin, SIAM J. Comput. 9, 1980).  The Frobenius matrix is
-    built here from g's own x^p mod g, so a split never certifies itself."""
-    k, t = g.degree(), UniPoly.gen(g.field)
+def _is_irreducible(g: UniPoly, m: int) -> bool:
+    """Rabin's test for a monic g of degree k >= 1 over F_p, p not dividing m:
+    True iff g divides x^m - 1 and is irreducible.  g is irreducible iff
+    x^(p^k) = x mod g and gcd(x^(p^(k/r)) - x, g) = 1 for every prime r
+    dividing k (Rabin, SIAM J. Comput. 9, 1980).  One exact division proves
+    g | x^m - 1 here, so x^e = x^(e mod m) mod g: each condition is a gcd
+    with a binomial x^(p^j mod m) - x, with no power and no Frobenius matrix,
+    and nothing is taken from the split that found g."""
+    field, k = g.field, g.degree()
+    if not (UniPoly._exact(field, [-1] + [0] * (m - 1) + [1]) % g).is_zero():
+        return False
     if k == 1:  # irreducible by definition; the test would only check a^p = a
         return True
-    ring = _ModRing(g)
-    rows, x = ring.frobenius_rows(), ring.elem(t)
-    powers = [x]  # x^(p^j) mod g
-    for _ in range(k):
-        powers.append(ring.dot(0, powers[-1], rows))
-    return powers[k] == x and all(gcd_univariate(UniPoly._exact(g.field, powers[k // r]) - t,
-                                                 g).is_one() for r in _prime_divisors(k))
+    for r in [1] + _prime_divisors(k):  # r = 1: g divides x^(p^k) - x
+        binomial = [0, -1] + [0] * m
+        binomial[pow(field.p, k // r, m)] += 1
+        common = gcd_univariate(UniPoly._exact(field, binomial), g)
+        if not (common == g if r == 1 else common.is_one()):
+            return False
+    return True
 
 
 def factor_over_prime_field(f: UniPoly, seed: Optional[int] = None) -> FactorReport:
@@ -540,7 +564,7 @@ def _split_cyclotomic(m: int, field: Field, seed: Optional[int]) -> tuple:
     phi = UniPoly(field, cyclotomic(m).coeffs)
     factors = _split_fixed(phi, m, random.Random(f"{seed}:{m}"))
     for poly in factors:
-        if not _is_irreducible(poly):
+        if not _is_irreducible(poly, m):
             raise ArithmeticError(
                 f"factor {poly} of Phi_{m} mod {field.p} fails Rabin's irreducibility test")
     return tuple(factors)

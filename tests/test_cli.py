@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -680,26 +681,43 @@ class TestCertificateFailure:
 
 
 class TestAtTheBound:
+    # SHA-256 of each report below, keyed by its argv, so a change to any
+    # character of an at-bound report fails the test that runs it.
+    DIGESTS = json.loads((GOLDEN_DIR / "at_the_bound_sha256.json").read_text())
+
+    def _pinned(self, argv, out):
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[" ".join(argv)]
+        return json.loads(out)
+
     @pytest.mark.parametrize("field", ["q", "fp:101"])
     def test_verify_lemma1_at_max_i(self, capsys, field):
         argv = ["verify-lemma1", "--max-i", str(cli.MAX_INDEX), "--field", field]
         assert main(argv) == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = self._pinned(argv, capsys.readouterr().out)
         assert payload["all_pass"] is True
         assert len(payload["results"]) == cli.MAX_INDEX
 
     # fp:2 takes the split with h = r, with no power.
     @pytest.mark.parametrize("field", ["q", "fp:2", "fp:7", "fp:101"])
     def test_factors_at_max_index(self, capsys, field):
-        assert main(["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", field]) == EXIT_OK
-        records = json.loads(capsys.readouterr().out)["growth"]["records"]
+        argv = ["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", field]
+        assert main(argv) == EXIT_OK
+        records = self._pinned(argv, capsys.readouterr().out)["growth"]["records"]
         assert len(records) == cli.MAX_INDEX
+
+    def test_factors_at_the_largest_prime(self, capsys):
+        # The largest prime the CLI accepts takes the windowed powers and
+        # Rabin's test at 31 bits; the full index bound takes several seconds.
+        argv = ["factors", "--set", "1..60", "--field", "fp:2147483647"]
+        assert main(argv) == EXIT_OK
+        records = self._pinned(argv, capsys.readouterr().out)["growth"]["records"]
+        assert len(records) == 60
 
     @pytest.mark.parametrize("field", ["q", "fp:7"])
     def test_cohomology_at_max_d(self, capsys, field):
         argv = ["cohomology", "--d-min", "2", "--d-max", str(cli.MAX_D), "--field", field]
         assert main(argv) == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = self._pinned(argv, capsys.readouterr().out)
         assert payload["all_pass"] is True
         assert len(payload["records"]) == cli.MAX_D - 1
 
@@ -707,9 +725,18 @@ class TestAtTheBound:
     def test_frobenius_at_max_n(self, capsys, field):
         argv = ["frobenius", "--n-set", f"6..{cli.MAX_N}", "--field", field]
         assert main(argv) == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = self._pinned(argv, capsys.readouterr().out)
         assert payload["all_pass"] is True
         assert len(payload["records"]) == cli.MAX_N - 5
+
+    def test_every_pinned_report_is_run(self):
+        runs = {f"verify-lemma1 --max-i {cli.MAX_INDEX} --field {f}" for f in ("q", "fp:101")}
+        runs |= {f"factors --set 1..{cli.MAX_INDEX} --field {f}"
+                 for f in ("q", "fp:2", "fp:7", "fp:101")}
+        runs |= {"factors --set 1..60 --field fp:2147483647"}
+        runs |= {f"cohomology --d-min 2 --d-max {cli.MAX_D} --field {f}" for f in ("q", "fp:7")}
+        runs |= {f"frobenius --n-set 6..{cli.MAX_N} --field {f}" for f in ("q", "fp:5")}
+        assert set(self.DIGESTS) == runs
 
 
 class TestTracerContract:

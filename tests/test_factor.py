@@ -32,6 +32,7 @@ from cokerlab.factor import (
     separability_check,
     totient,
 )
+from oracles import rabin_by_frobenius_matrix
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -318,29 +319,83 @@ def _record_rings(monkeypatch):
     return built
 
 
+RABIN_PRIMES = (2, 3, 7, 101, BIG_PRIME)
+
+
+def _coprime_index(p):
+    return st.integers(2, 60).filter(lambda m: m % p)
+
+
+@lru_cache(maxsize=None)
+def _phi_factors(p, m):
+    field = Field.prime(p)
+    return factor._split_fixed(UniPoly(field, cyclotomic(m).coeffs), m, random.Random(0))
+
+
+@st.composite
+def _rabin_cases(draw):
+    # A factor of Phi_m mod p, Phi_m itself when it splits, a product of two
+    # of its factors, a square, a factor times t - a, or a factor times one
+    # of Phi_m2; tested at m, at lcm(m, m2), or at an index prime to p.
+    p = draw(st.sampled_from(RABIN_PRIMES))
+    field, m, m2 = Field.prime(p), draw(_coprime_index(p)), draw(_coprime_index(p))
+    factors = _phi_factors(p, m)
+    pick = st.sampled_from(factors)
+    g = draw(pick)
+    kind = draw(st.sampled_from(["factor", "phi", "pair", "square", "linear", "cross"]))
+    if kind == "phi" and len(factors) > 1:
+        g = UniPoly(field, cyclotomic(m).coeffs)
+    elif kind == "pair" and len(factors) > 1:
+        g = g * draw(pick.filter(lambda h: h != g))
+    elif kind == "square":
+        g = g * g
+    elif kind == "linear":
+        a = draw(st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1)))
+        g = g * UniPoly(field, [-a, 1])
+    elif kind == "cross" and m2 != m:
+        g = g * draw(st.sampled_from(_phi_factors(p, m2)))
+    return g, draw(st.one_of(st.sampled_from([m, math.lcm(m, m2)]), _coprime_index(p)))
+
+
 class TestRabin:
     def test_accepts_the_cubic_factors_of_phi7_mod_2(self):
         for coeffs in ([1, 1, 0, 1], [1, 0, 1, 1]):  # t^3+t+1, t^3+t^2+1
-            assert _is_irreducible(UniPoly(F2, coeffs))
+            assert _is_irreducible(UniPoly(F2, coeffs), 7)
         assert UniPoly(F2, [1, 1, 0, 1]) * UniPoly(F2, [1, 0, 1, 1]) \
             == UniPoly(F2, cyclotomic(7).coeffs)
 
     def test_rejects_product_of_equal_degree_irreducibles(self):
-        assert not _is_irreducible(UniPoly(F2, cyclotomic(7).coeffs))
+        assert not _is_irreducible(UniPoly(F2, cyclotomic(7).coeffs), 7)
+
+    def test_rejects_a_product_that_only_the_first_condition_catches(self):
+        # Phi_3 * (a cubic factor of Phi_7) mod 2 divides x^21 - 1 and has
+        # prime degree 5 with no linear factor: gcd(x^2 - x, g) = 1, so only
+        # x^(2^5) = x mod g fails.
+        g = UniPoly(F2, cyclotomic(3).coeffs) * UniPoly(F2, [1, 1, 0, 1])
+        assert gcd_univariate(UniPoly(F2, [0, 1, 1]), g).is_one()
+        assert not rabin_by_frobenius_matrix(g)
+        assert not _is_irreducible(g, 21)
 
     def test_rejects_square(self):
+        # A square divides no squarefree x^m - 1, so the binomial rejects it
+        # before Rabin's conditions, which the oracle checks.
         t = UniPoly.gen(F2)
-        assert not _is_irreducible((t ** 2 + t + 1) ** 2)
+        assert not rabin_by_frobenius_matrix((t ** 2 + t + 1) ** 2)
+        assert not _is_irreducible((t ** 2 + t + 1) ** 2, 3)
 
     def test_rejects_polynomial_with_a_root(self):
+        # t^3+t+1 = (t - 1)(t^2+t+2) mod 3, and both factors divide x^8 - 1:
+        # F_9* has order 8.
         f = UniPoly(F3, [1, 1, 0, 1])  # t^3+t+1 vanishes at t = 1
         assert f(1) == 0
-        assert not _is_irreducible(f)
+        assert (UniPoly(F3, [-1] + [0] * 7 + [1]) % f).is_zero()
+        assert not _is_irreducible(f, 8)
 
     # Phi_m is irreducible mod p exactly when p has order phi(m) mod m (Lidl
     # and Niederreiter, Thm 2.47), and t^2 - c exactly when c is not a square
     # mod p; both conditions are checked here.  The last entry is an m with
-    # p = 1 mod m, so Phi_m splits into linear factors.
+    # p = 1 mod m, so Phi_m splits into linear factors.  The quadratics go to
+    # the oracle: mod 2^31 - 1 their roots have orders far beyond any m.
     KNOWN = {101: ((3, 7, 11), (2, 3), 5), BIG_PRIME: ((5, 25), (-1, 3), 3)}
 
     @pytest.mark.parametrize("p", sorted(KNOWN))
@@ -352,37 +407,41 @@ class TestRabin:
             assert next(k for k in range(1, m) if pow(p, k, m) == 1) == totient(m)
         assert all(pow(c, (p - 1) // 2, p) == p - 1 for c in non_squares)
         quadratics = [t ** 2 - c for c in non_squares]
-        known = [UniPoly(field, cyclotomic(m).coeffs) for m in orders] + quadratics
-        assert all(_is_irreducible(poly) for poly in known)
-        assert not _is_irreducible(quadratics[0] * quadratics[1])
-        assert not _is_irreducible(UniPoly(field, cyclotomic(split).coeffs))
-        for poly in known:
-            assert not _is_irreducible(poly * poly)
-            assert not _is_irreducible(poly * (t - 5))
+        phis = [(UniPoly(field, cyclotomic(m).coeffs), m) for m in orders]
+        assert all(_is_irreducible(poly, m) for poly, m in phis)
+        assert all(rabin_by_frobenius_matrix(poly) for poly in quadratics)
+        assert not rabin_by_frobenius_matrix(quadratics[0] * quadratics[1])
+        assert not _is_irreducible(UniPoly(field, cyclotomic(split).coeffs), split)
+        for poly, m in phis:
+            # Phi_m * (t - 1) divides x^m - 1, so Rabin's conditions reject it.
+            assert not _is_irreducible(poly * (t - 1), m)
+        for g in [poly for poly, _ in phis] + quadratics:
+            assert not rabin_by_frobenius_matrix(g * g)
+            assert not rabin_by_frobenius_matrix(g * (t - 5))
 
     def test_builds_its_own_frobenius_data(self, monkeypatch, fresh_splits):
-        # Rabin's test takes g alone and builds one kernel from it, whose
-        # Frobenius matrix comes from x^p mod g computed there, not from a split.
-        assert list(inspect.signature(_is_irreducible).parameters) == ["g"]
-        assert list(inspect.signature(factor._ModRing.frobenius_rows).parameters) == ["self"]
+        # Rabin's test takes g and m alone.  It proves g | x^m - 1 itself and
+        # reads each x^(p^j) mod g off x^m = 1, so it calls no splitter and
+        # builds no ring, no power and no Frobenius matrix.
+        assert list(inspect.signature(_is_irreducible).parameters) == ["g", "m"]
         factors = factor._split_cyclotomic(77, Field.prime(101), None)
         built = _record_rings(monkeypatch)
 
-        def no_split(*args):
-            raise AssertionError("Rabin's test called the splitter")
+        def no_call(*args):
+            raise AssertionError("Rabin's test called a splitter or a power")
 
         for name in ("_equal_degree", "_split_fixed"):
-            monkeypatch.setattr(factor, name, no_split)
+            monkeypatch.setattr(factor, name, no_call)
+        monkeypatch.setattr(factor._ModRing, "pow", no_call)
         assert len(factors) > 1
         for g in factors:
-            built.clear()
-            assert _is_irreducible(g)
-            assert built == [g, ("rows", g)]
+            assert _is_irreducible(g, 77)
+        assert built == []
 
     def test_split_builds_rings_only_in_rabin(self, monkeypatch, fresh_splits):
-        # Mod 101, Phi_77 is two factors of degree 30.  Its split takes no
-        # table, Frobenius matrix or conjugate fold: each ring and each
-        # matrix built belongs to one factor's Rabin test.
+        # Mod 101, Phi_77 is two factors of degree 30.  Neither its split nor
+        # the Rabin tests of its factors take a table, a Frobenius matrix or
+        # a conjugate fold: no _ModRing is built at all.
         built = _record_rings(monkeypatch)
 
         def no_fold(*args):
@@ -391,15 +450,40 @@ class TestRabin:
         monkeypatch.setattr(factor._ModRing, "conjugate_fold", no_fold)
         factors = factor._split_cyclotomic(77, Field.prime(101), None)
         assert [g.degree() for g in factors] == [30, 30]
-        assert built == [entry for g in factors for entry in (g, ("rows", g))]
+        assert built == []
 
     @pytest.mark.parametrize("p", [2, 101, BIG_PRIME])
     def test_linear_factors_need_no_ring(self, monkeypatch, p):
+        # t - a divides x^m - 1 for m the order of a != 0; t divides none.
         built = _record_rings(monkeypatch)
         t = UniPoly.gen(Field.prime(p))
-        for a in {0, 1, p // 2, p - 1}:
-            assert _is_irreducible(t - a)
+        for a in {1, p // 2, p - 1}:
+            m = next(k for k in range(1, 101) if pow(a, k, p) == 1)
+            assert _is_irreducible(t - a, m)
+        assert rabin_by_frobenius_matrix(t)
         assert built == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(_rabin_cases())
+    def test_matches_the_frobenius_matrix_oracle(self, case):
+        # True exactly when the oracle proves g irreducible and g | x^n - 1.
+        g, n = case
+        divides = (UniPoly(g.field, [-1] + [0] * (n - 1) + [1]) % g).is_zero()
+        assert _is_irreducible(g, n) == (rabin_by_frobenius_matrix(g) and divides)
+
+    def test_rejects_an_irreducible_that_does_not_divide_the_binomial(self):
+        # 2 is a primitive root mod 101, so t^2 - 2 is irreducible and its
+        # roots have order 200; the factors of Phi_7 mod 101 have degree 6.
+        field = Field.prime(101)
+        g = UniPoly(field, [-2, 0, 1])
+        assert rabin_by_frobenius_matrix(g)
+        assert _is_irreducible(g, 200)
+        assert not _is_irreducible(g, 7)
+        # 101^2 = 1 mod 8 and gcd(x^(101 mod 8) - x, g) = 1, so only the
+        # division rejects g at 8.
+        assert pow(101, 2, 8) == 1
+        assert gcd_univariate(UniPoly(field, [0, -1, 0, 0, 0, 1]), g).is_one()
+        assert not _is_irreducible(g, 8)
 
 
 def _order(p, m):
@@ -420,7 +504,8 @@ def _equal_degree_blocks(draw):
     residues = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     candidates = draw(st.lists(st.lists(residues, min_size=k, max_size=k),
                                min_size=1, max_size=6, unique_by=tuple))
-    known = [g for g in (UniPoly(field, c + [1]) for c in candidates) if _is_irreducible(g)]
+    known = [g for g in (UniPoly(field, c + [1]) for c in candidates)
+             if rabin_by_frobenius_matrix(g)]
     assume(known)
     block = UniPoly.one(field)
     for g in known:
@@ -446,7 +531,9 @@ class TestEqualDegree:
                     product = product * g
                 assert product == block
                 assert len(parts) == block.degree() // k
-                assert all(g.degree() == k and _is_irreducible(g) for g in parts)
+                assert all(g.degree() == k for g in parts)
+                assert all(rabin_by_frobenius_matrix(g) if m is None else _is_irreducible(g, m)
+                           for g in parts)
                 outputs.add(tuple(sorted(parts, key=UniPoly.sort_key)))
         assert len(outputs) == 1
         if known is not None:
@@ -510,6 +597,16 @@ def _kernel_oracle_check(f, a, b, h, e):
     assert ring.dot(0, elem(h), rows) == elem(_pow_mod_oracle(h, field.p, f))
 
 
+def _square_and_multiply(ring, a, e):
+    # Plain left-to-right powering, one bit at a time.
+    result = a
+    for bit in bin(e)[3:]:
+        result = ring.mul(result, result)
+        if bit == "1":
+            result = ring.mul(result, a)
+    return result
+
+
 @st.composite
 def _kernel_cases(draw):
     p = draw(st.sampled_from(KERNEL_PRIMES))
@@ -531,6 +628,20 @@ class TestModRing:
     @given(_kernel_cases())
     def test_matches_schoolbook(self, case):
         _kernel_oracle_check(*case)
+
+    @pytest.mark.parametrize("p", [2, 101, BIG_PRIME])
+    def test_windowed_power_matches_square_and_multiply(self, p):
+        # pow takes 4-bit windows from 16-bit exponents on: every length from
+        # 1 to 40 bits, in F_p[t]/(f) and in F_p[x]/(x^m - 1).
+        rng, field = random.Random(p), Field.prime(p)
+        for bits in range(1, 41):
+            n = rng.randint(1, 12)
+            f = UniPoly(field, [rng.randrange(p) for _ in range(n)] + [1])
+            for ring in (factor._ModRing(f), factor._CyclicRing(p, n)):
+                a = [rng.randrange(p) for _ in range(n)]
+                for e in (1 << (bits - 1), rng.randrange(1 << (bits - 1), 1 << bits),
+                          (1 << bits) - 1):
+                    assert ring.pow(a, e) == _square_and_multiply(ring, a, e)
 
     @pytest.mark.parametrize("p", KERNEL_PRIMES)
     @pytest.mark.parametrize("n", [1, 3, 60])
