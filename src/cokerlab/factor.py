@@ -9,7 +9,8 @@ ord_m(p).  It is split once per process by random Frobenius-fixed elements
 of F_p[x]/(x^m - 1), where Frobenius x^c -> x^(pc mod m) only permutes the
 exponents.  Every factor is proven irreducible by Rabin's test, which reads
 x^(p^j) mod the factor off x^m = 1 once a division proves it divides x^m - 1.
-Each report re-verifies reassembly and the squarefree product of its factors.
+Each report re-verifies its reassembly by Kronecker-packed products, and that
+its distinct factors are coprime, for tau_i by one division of t^N - 1.
 
 Other inputs go through the generic engines, which the tests use as oracles:
 exact cyclotomic trial division over Q, and over a prime field squarefree
@@ -24,9 +25,11 @@ import random
 import struct
 from collections import namedtuple
 from functools import lru_cache
+from math import lcm
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
-from .arith import Field, Form, UniPoly, gcd_univariate, sigma, tau
+from .arith import Field, Form, UniPoly, _require_same_field, gcd_univariate, sigma, tau
 
 _EDF_MAX_TRIES = 512
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes -> struct format code, ascending
@@ -41,31 +44,28 @@ class FactorReport(namedtuple("FactorReport", "input unit factors")):
 
     ``factors`` holds pairs (polynomial, multiplicity >= 1), and
     unit * product(factor^multiplicity) reassembles the input exactly; this
-    and the squarefree product of the distinct factors are re-verified.
+    is re-verified on big-int products (_reassemble), and the product of the
+    distinct factors is proven squarefree (_is_squarefree).
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> FactorReport:
         self = super().__new__(cls, *args, **kwargs)
-        homogeneous = isinstance(self.input, Form)
-        # unit * prod(u^(mult-1)) * distinct multiplies each simple factor once.
-        product = UniPoly.constant(self.input.field, self.unit)
-        distinct = UniPoly.one(self.input.field)
-        degree = s_divisible = 0
+        homogeneous, field = isinstance(self.input, Form), self.input.field
+        unit, pairs, degree, s_divisible = field.coerce(self.unit), [], 0, 0
         for poly, mult in self.factors:
             if mult < 1:
                 raise ValueError("factor multiplicities must be >= 1")
             if not _is_canonical_factor(poly):
                 raise ValueError(f"factor {poly} is not canonically normalized")
             u = poly.u if homogeneous else poly
-            distinct = distinct * u
-            if mult > 1:
-                product = product * u ** (mult - 1)
+            _require_same_field(field, u.field)
+            pairs.append((u, mult))
             if homogeneous:
                 degree += mult * poly.degree
                 s_divisible += u.degree() < poly.degree
-        product = product * distinct
+        product, distinct = _reassemble(unit, pairs, field)
         # A form carries its degree, so a dropped power of s shows here.
         if (Form(product, degree) if homogeneous else product) != self.input:
             raise ArithmeticError("factorization does not reassemble the input")
@@ -79,12 +79,62 @@ class FactorReport(namedtuple("FactorReport", "input unit factors")):
         return [str(poly) for poly, _ in self.factors]
 
 
+def _reassemble(unit, pairs: list, field: Field) -> tuple:
+    """(unit * prod(u^e), a nonzero multiple of prod(u)) over the pairs (u, e),
+    by Kronecker substitution.  Over Q each u, lifted to Z[t] by the lcm of
+    its denominators, is packed once at t = 2^(8w), offset by half a slot so
+    that negative coefficients pack, with w sized from the product of the
+    lifts' 1-norms; each product is one big-int product, unpacked once.  Over
+    F_p those slots would widen by log p per factor, so a balanced tree
+    multiplies pairs and reduces each product mod p: over the u, then over
+    their product and e - 1 more copies of each u."""
+    p, den, bound, n, simple, extra = field.p, 1, 1, 1, [], []
+    for u, e in pairs:
+        d = 1 if p else lcm(*map(attrgetter("denominator"), u.coeffs))
+        simple.append(list((u.scale(d) if d > 1 else u).coeffs))
+        extra += [simple[-1]] * (e - 1)
+        den, bound, n = den * d ** e, bound * sum(map(abs, simple[-1])) ** e, n + u.degree() * e
+    if p:
+        distinct = _product_mod_p(simple, p)
+        product = _product_mod_p(extra + [distinct], p)
+    else:
+        packer = _CyclicRing(0, n, bound.bit_length() + 1)  # p = 0: slots read whole
+        half = packer.p >> 1
+        offset = packer.pack([half] * n)
+        distinct = product = 1
+        for lift, (_, e) in zip(simple, pairs):
+            low = offset & ((1 << 8 * packer.size * len(lift)) - 1)
+            packed = packer.pack(list(map(half.__add__, lift))) - low
+            distinct, product = distinct * packed, product * packed ** e
+        distinct = list(map(half.__rsub__, packer.unpack(distinct + offset, n)))
+        product = list(map(half.__rsub__, packer.unpack(product + offset, n)))
+    product = UniPoly._exact(field, product).scale(field.div(unit, den))
+    return product, UniPoly._exact(field, distinct)
+
+
+def _product_mod_p(lists: list, p: int) -> list:
+    ring = _CyclicRing(p, sum(map(len, lists)))  # its slots hold every product's sums
+    while len(lists) > 1:
+        products = map(int.__mul__, map(ring.pack, lists[::2]), map(ring.pack, lists[1::2]))
+        sizes = map(int.__add__, map(len, lists[::2]), map(len, lists[1::2]))
+        lists = list(map(ring.unpack, products, sizes)) + lists[len(lists) & -2:]
+    return lists[0] if lists else [1]
+
+
 def _is_squarefree(f: UniPoly) -> bool:
-    """gcd(f, f') = 1; over F_p, f' = 0 leaves gcd f.  For f in Z[t] with
-    lc(f) prime to the check prime p, a square h^2 | f over Q may be taken
-    with h primitive in Z[t] (Gauss's lemma), so lc(h) is prime to p and
-    (h mod p)^2 divides f mod p with deg(h mod p) >= 1: a gcd of 1 mod p
-    proves f squarefree, and any other modular result is settled over Q."""
+    """Whether f is squarefree: it is if it divides t^N - 1 for N = deg f + 1
+    or deg f prime to the characteristic, as t^N - 1 is prime to N*t^(N-1);
+    every tau_i report's distinct product does.  Else gcd(f, f') = 1; over F_p,
+    f' = 0 leaves gcd f.  For f in Z[t] with lc(f) prime to the check prime
+    p, a square h^2 | f over Q may be taken with h primitive in Z[t] (Gauss's
+    lemma), so lc(h) is prime to p and (h mod p)^2 divides f mod p with
+    deg(h mod p) >= 1: a gcd of 1 mod p proves f squarefree, and any other
+    modular result is settled over Q."""
+    p, n = f.field.characteristic, f.degree()
+    for big in (n + 1, n):
+        binomial = UniPoly._exact(f.field, [-1] + [0] * (big - 1) + [1])
+        if big > 0 and (p == 0 or big % p) and (binomial % f).is_zero():
+            return True
     if (f.field.is_rationals and all(isinstance(c, int) for c in f.coeffs)
             and f.lc % _CHECK_FIELD.p):
         reduced = UniPoly._exact(_CHECK_FIELD, list(f.coeffs))
@@ -252,11 +302,11 @@ class _ModRing:
             self.table.append(self.pack(row))
             row = [(a + row[-1] * b) % p for a, b in zip([0] + row, low)]
 
-    def _slots(self, p: int, n: int) -> None:
-        self.p, self.n = p, n
-        w = 2 * p.bit_length() + n.bit_length() + 1
-        self.size = next((b for b in _WORDS if 8 * b >= w), -(-w // 8))
-        self.code = _WORDS.get(self.size)
+    def _slots(self, p: int, n: int, bits: int = 0) -> None:
+        # Slots of `bits` bits, by default a sum of n products of residues.
+        bits = bits or 2 * p.bit_length() + n.bit_length() + 1
+        self.size = next((b for b in _WORDS if 8 * b >= bits), -(-bits // 8))
+        self.p, self.n, self.code = p or 1 << 8 * self.size, n, _WORDS.get(self.size)
 
     def pack(self, c: list) -> int:
         return int.from_bytes(struct.pack(f"<{len(c)}{self.code}", *c) if self.code else
@@ -337,8 +387,8 @@ class _CyclicRing(_ModRing):
     """F_p[x]/(x^m - 1): as x^m = 1, a product is reduced by adding its high
     slots onto its low ones, so each slot sums m products of residues."""
 
-    def __init__(self, p: int, m: int):
-        self._slots(p, m)
+    def __init__(self, p: int, m: int, bits: int = 0):
+        self._slots(p, m, bits)
 
     def reduce(self, product: int) -> list:
         split = 8 * self.size * self.n

@@ -5,7 +5,7 @@ tests import this module by name from their own directory.
 """
 
 from cokerlab import factor
-from cokerlab.arith import UniPoly, gcd_univariate
+from cokerlab.arith import Form, UniPoly, gcd_univariate
 
 
 def rabin_by_frobenius_matrix(g: UniPoly) -> bool:
@@ -23,3 +23,44 @@ def rabin_by_frobenius_matrix(g: UniPoly) -> bool:
         powers.append(ring.dot(0, powers[-1], rows))
     return powers[k] == x and all(gcd_univariate(UniPoly._exact(g.field, powers[k // r]) - t,
                                                  g).is_one() for r in factor._prime_divisors(k))
+
+
+def check_factor_report(report_input, unit, factors) -> None:
+    """FactorReport's check by schoolbook products and a gcd: raises as the
+    report does unless unit * prod(factor^mult) reassembles the input and the
+    distinct factors are pairwise coprime and squarefree."""
+    field = report_input.field
+    homogeneous = isinstance(report_input, Form)
+    # unit * prod(u^(mult-1)) * distinct multiplies each simple factor once.
+    product = UniPoly.constant(field, unit)
+    distinct = UniPoly.one(field)
+    degree = s_divisible = 0
+    for poly, mult in factors:
+        if mult < 1:
+            raise ValueError("factor multiplicities must be >= 1")
+        if not factor._is_canonical_factor(poly):
+            raise ValueError(f"factor {poly} is not canonically normalized")
+        u = poly.u if homogeneous else poly
+        distinct = distinct * u
+        if mult > 1:
+            product = product * u ** (mult - 1)
+        if homogeneous:
+            degree += mult * poly.degree
+            s_divisible += u.degree() < poly.degree
+    product = product * distinct
+    if (Form(product, degree) if homogeneous else product) != report_input:
+        raise ArithmeticError("factorization does not reassemble the input")
+    if s_divisible > 1 or not squarefree_by_gcd(distinct):
+        raise ArithmeticError("factors are not pairwise coprime")
+
+
+def squarefree_by_gcd(f: UniPoly) -> bool:
+    """gcd(f, f') = 1; over F_p, f' = 0 leaves gcd f.  Over Z[t] with lc(f)
+    prime to the check prime, a gcd of 1 modulo it decides first."""
+    check = factor._CHECK_FIELD
+    if (f.field.is_rationals and all(isinstance(c, int) for c in f.coeffs)
+            and f.lc % check.p):
+        reduced = UniPoly._exact(check, list(f.coeffs))
+        if gcd_univariate(reduced, reduced.derivative()).is_one():
+            return True
+    return gcd_univariate(f, f.derivative()).is_one()

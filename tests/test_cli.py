@@ -509,8 +509,9 @@ class TestComputedOnce:
     @pytest.mark.parametrize("field", ["q", "fp:7"])
     def test_at_most_one_gcd_per_report(self, monkeypatch, capsys, field):
         # A report proves its factors coprime by one squarefree test of their
-        # product; gcds inside a cyclotomic split (equal-degree splitting,
-        # Rabin's test) are not the report's.
+        # product, which for tau_i is a division of t^N - 1 and takes no gcd;
+        # gcds inside a cyclotomic split (equal-degree splitting, Rabin's
+        # test) are not the report's.
         gcd, split = factor.gcd_univariate, factor._split_cyclotomic
         splitting, report_gcds = [], []
 
@@ -529,7 +530,39 @@ class TestComputedOnce:
         monkeypatch.setattr(factor, "gcd_univariate", counting_gcd)
         monkeypatch.setattr(factor, "_split_cyclotomic", marked_split)
         assert main(["factors", "--set", "1..40", "--field", field]) == EXIT_OK
-        assert 0 < len(report_gcds) <= 40
+        assert report_gcds == []
+
+    @pytest.mark.parametrize("field", ["q", "fp:101"])
+    def test_reports_take_no_gcd_and_no_schoolbook_product(self, monkeypatch, capsys, field):
+        # Each report reassembles its factors by Kronecker products and proves
+        # them coprime by dividing t^N - 1, inside FactorReport.__new__.
+        new, multiply, gcd = factor.FactorReport.__new__, UniPoly.__mul__, factor.gcd_univariate
+        inside, reports, gcds, products = [], [], [], []
+
+        def checking(cls, *args, **kwargs):
+            inside.append(cls)
+            try:
+                reports.append(new(cls, *args, **kwargs))
+            finally:
+                inside.pop()
+            return reports[-1]
+
+        def counting_gcd(*args):
+            if inside:
+                gcds.append(args)
+            return gcd(*args)
+
+        def counting_mul(self, other):
+            if inside:
+                products.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(factor.FactorReport, "__new__", staticmethod(checking))
+        monkeypatch.setattr(factor, "gcd_univariate", counting_gcd)
+        monkeypatch.setattr(UniPoly, "__mul__", counting_mul)
+        assert main(["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", field]) == EXIT_OK
+        assert len(reports) == cli.MAX_INDEX
+        assert gcds == products == []
 
 
 def _transposed(b):
@@ -729,12 +762,36 @@ class TestAtTheBound:
         assert payload["all_pass"] is True
         assert len(payload["records"]) == cli.MAX_N - 5
 
+    # The CSV and text renderings at a bound are pinned too.
+    @pytest.mark.parametrize("argv", [
+        ["cohomology", "--d-min", "2", "--d-max", str(cli.MAX_D), "--field", "fp:7",
+         "--format", "csv"],
+        ["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", "fp:7", "--format", "text"],
+    ], ids=["cohomology-csv", "factors-text"])
+    def test_other_formats_at_the_bound(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[" ".join(argv)]
+
+    def test_factors_at_a_second_seed(self, capsys):
+        # Factor lists are sorted canonically, so once its seed line is
+        # normalised the report at another seed is the seedless one.
+        argv = ["factors", "--set", f"1..{cli.MAX_INDEX}", "--field", "fp:7", "--seed", "7"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count('\n  "seed": 7,\n') == 1
+        self._pinned(argv, out.replace('\n  "seed": 7,\n', '\n  "seed": null,\n'))
+        assert self.DIGESTS[" ".join(argv)] == self.DIGESTS[" ".join(argv[:-2])]
+
     def test_every_pinned_report_is_run(self):
         runs = {f"verify-lemma1 --max-i {cli.MAX_INDEX} --field {f}" for f in ("q", "fp:101")}
         runs |= {f"factors --set 1..{cli.MAX_INDEX} --field {f}"
                  for f in ("q", "fp:2", "fp:7", "fp:101")}
+        runs |= {f"factors --set 1..{cli.MAX_INDEX} --field fp:7 {extra}"
+                 for extra in ("--seed 7", "--format text")}
         runs |= {"factors --set 1..60 --field fp:2147483647"}
         runs |= {f"cohomology --d-min 2 --d-max {cli.MAX_D} --field {f}" for f in ("q", "fp:7")}
+        runs |= {f"cohomology --d-min 2 --d-max {cli.MAX_D} --field fp:7 --format csv"}
         runs |= {f"frobenius --n-set 6..{cli.MAX_N} --field {f}" for f in ("q", "fp:5")}
         assert set(self.DIGESTS) == runs
 

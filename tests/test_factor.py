@@ -32,7 +32,7 @@ from cokerlab.factor import (
     separability_check,
     totient,
 )
-from oracles import rabin_by_frobenius_matrix
+from oracles import check_factor_report, rabin_by_frobenius_matrix
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -777,6 +777,145 @@ class TestFactorReportInvariants:
             f = sigma(i, F7)
             report = factor_over_prime_field(f, seed=2)
             assert sum(p.degree() * m for p, m in report.factors) == f.degree()
+
+
+# Struct-code boundaries of the packed slots: 1, 2, 4 and 8 bytes, then bytes.
+SLOT_EDGES = [c for bits in (7, 8, 15, 16, 31, 32, 63, 64)
+              for c in (2 ** bits - 2, 2 ** bits - 1, 2 ** bits)]
+
+
+@st.composite
+def _report_cases(draw):
+    # A canonical factor list, its unit and the input they reassemble, then
+    # at most one corruption of the input or the list.
+    p = draw(st.sampled_from((None, 2, 7, 101, BIG_PRIME)))
+    field = Q if p is None else Field.prime(p)
+    if p is None:
+        values = st.sampled_from([-2, -1, 0, 1, 2, Fraction(-1, 2), Fraction(2, 3), CHECK_PRIME]
+                                 + SLOT_EDGES + [-c for c in SLOT_EDGES])
+        leads = st.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 4), 2 ** 63])
+        unit = draw(st.sampled_from([1, -1, 3, Fraction(-2, 3), -(2 ** 63)]))
+    else:
+        values, leads, unit = st.integers(0, p - 1), st.just(1), draw(st.integers(1, p - 1))
+    forms = draw(st.booleans())
+    pairs = []
+    for k in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 3))
+        poly = UniPoly(field, draw(st.lists(values, min_size=degree, max_size=degree))
+                       + [draw(leads)])
+        # Over F_2, one high multiplicity, as (t + 1)^127 at i = 127.
+        pairs.append((poly, draw(st.integers(1, 127 if p == 2 and k == 0 else 4))))
+    product = UniPoly.constant(field, unit)
+    for poly, mult in pairs:
+        product = product * poly ** mult
+    t = UniPoly.gen(field)
+    corruption = draw(st.sampled_from(["none"] * 5 + ["unit", "coefficient", "multiplicity",
+                                                     "duplicate", "drop"]))
+    if corruption == "unit":
+        unit = field.add(field.coerce(unit), 1)
+    elif corruption == "coefficient":
+        product = product + t ** draw(st.integers(0, product.degree()))
+    elif corruption == "multiplicity":
+        pairs[0] = (pairs[0][0], pairs[0][1] + 1)
+    elif corruption == "duplicate":
+        product = product * pairs[0][0]
+        pairs.append((pairs[0][0], 1))
+    elif corruption == "drop" and len(pairs) > 1:
+        pairs.pop()
+    if not forms:
+        return product, unit, tuple(pairs)
+    degree = sum(poly.degree() * mult for poly, mult in pairs)
+    pairs = [(Form(poly, poly.degree()), mult) for poly, mult in pairs]
+    if draw(st.booleans()):  # s, whose part in t is 1
+        mult = draw(st.integers(1, 3))
+        pairs.append((Form(UniPoly.one(field), 1), mult))
+        degree += mult
+    return Form(product, max(degree, product.degree())), unit, tuple(pairs)
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestReassemblyKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_report_cases())
+    def test_accepts_exactly_what_the_oracle_accepts(self, case):
+        assert _outcome(FactorReport, *case) == _outcome(check_factor_report, *case)
+
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64])
+    def test_coefficients_at_the_slot_width_boundary(self, bits):
+        # t + c and its powers, whose coefficients up to c^3 take wider slots.
+        t = UniPoly.gen(Q)
+        for c in (2 ** bits - 2, 2 ** bits - 1, 2 ** bits):
+            for f in (t + c, t - c):
+                for mult in (1, 2, 3):
+                    report = FactorReport(input=-(f ** mult), unit=-1, factors=((f, mult),))
+                    assert report.factors == ((f, mult),)
+                    with pytest.raises(ArithmeticError):
+                        FactorReport(input=-(f ** mult) + 1, unit=-1, factors=((f, mult),))
+
+    def test_reassembles_negative_and_fractional_coefficients_over_q(self):
+        f, g = UniPoly(Q, [-3, Fraction(-1, 2), 1]), UniPoly(Q, [Fraction(-5, 3), 2])
+        unit = Fraction(-7, 4)
+        report = FactorReport(input=f ** 2 * g * unit, unit=unit, factors=((f, 2), (g, 1)))
+        assert report.unit == unit
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=f ** 2 * g * unit, unit=-unit, factors=((f, 2), (g, 1)))
+
+    @pytest.mark.parametrize("p", [2, 7, 101])
+    def test_high_multiplicities_over_prime_fields(self, p):
+        # (t - 1)^(q - 1) Phi_3^q, as in tau_i at i + 1 = 3q with q a power
+        # of p; over F_7, like (t - 1)^48 Phi_4^49 at i = 195.
+        field, q = Field.prime(p), {2: 64, 7: 49, 101: 101}[p]
+        t = UniPoly.gen(field)
+        phi = UniPoly(field, factor.cyclotomic(3).coeffs)
+        factors = [(t - 1, q - 1)] + [(g, q) for g in factor._split_cyclotomic(3, field, 1)]
+        product = (t - 1) ** (q - 1) * phi ** q
+        assert FactorReport(input=product, unit=1, factors=tuple(factors)).factors
+        with pytest.raises(ArithmeticError):
+            FactorReport(input=product * t, unit=1, factors=tuple(factors))
+
+
+class TestSquarefree:
+    @pytest.fixture
+    def no_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a gcd was taken")
+
+        monkeypatch.setattr(factor, "gcd_univariate", refuse)
+
+    @pytest.mark.parametrize("field", [Q, F2, F7, Field.prime(101)],
+                             ids=["q", "fp2", "fp7", "fp101"])
+    def test_binomials_and_sigma_take_no_gcd(self, field, no_gcd):
+        # sigma_(n-1) = (t^n - 1)/(t - 1) and t^n - 1, for n prime to p.
+        p = field.characteristic
+        for n in range(1, 80):
+            if p == 0 or n % p:
+                assert factor._is_squarefree(UniPoly(field, [-1] + [0] * (n - 1) + [1]))
+                assert n == 1 or factor._is_squarefree(sigma(n - 1, field))
+
+    def test_binomials_the_characteristic_divides_are_not_squarefree(self):
+        # t^7 - 1 = (t - 1)^7 over F_7, and (t - 1)^6 divides it.
+        t = UniPoly.gen(F7)
+        assert not factor._is_squarefree(t ** 7 - 1)
+        assert not factor._is_squarefree((t - 1) ** 6)
+        assert not factor._is_squarefree(t ** 14 - 1)
+        assert factor._is_squarefree(t ** 6 - 1)
+
+    def test_other_polynomials_take_the_gcd(self, monkeypatch):
+        gcd, calls = factor.gcd_univariate, []
+        monkeypatch.setattr(factor, "gcd_univariate",
+                            lambda *args: calls.append(args) or gcd(*args))
+        f = UniPoly(Q, [-2, 0, 1])
+        assert factor._is_squarefree(f)
+        assert not factor._is_squarefree(f * f)
+        assert not factor._is_squarefree(UniPoly(F7, [1, 2, 1]))
+        assert len(calls) >= 3
 
 
 class TestSeparability:
