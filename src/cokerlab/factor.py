@@ -5,10 +5,12 @@ product of the Phi_m over the divisors m > 1 of i + 1.  Over the rationals
 each Phi_m is irreducible (classical and assumed).  Over F_p, with
 i + 1 = p^e * n and p not dividing n, the multiplicities come from p^e, and
 each Phi_m with m | n splits into phi(m)/ord_m(p) irreducibles of degree
-ord_m(p).  It is split once per process by random Frobenius-fixed elements
-of F_p[x]/(x^m - 1), where Frobenius x^c -> x^(pc mod m) only permutes the
-exponents.  Every factor is proven irreducible by Rabin's test, which reads
-x^(p^j) mod the factor off x^m = 1 once a division proves it divides x^m - 1.
+ord_m(p).  It is split once per process: random Frobenius-fixed elements of
+F_p[x]/(x^m - 1), where Frobenius x^c -> x^(pc mod m) only permutes the
+exponents, isolate one factor, and Berlekamp-Massey reads each other factor
+off its traces.  Every factor is proven irreducible by Rabin's test, on
+x^j mod the factor for j <= m: x^m = 1 proves that it divides x^m - 1, and
+then each x^(p^j) is read off x^(p^j mod m).
 Each report re-verifies its reassembly by Kronecker-packed products, and that
 its distinct factors are coprime, for tau_i by one division of t^N - 1.
 
@@ -25,7 +27,7 @@ import random
 import struct
 from collections import namedtuple
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
@@ -444,50 +446,31 @@ def _random_poly(rng: random.Random, field: Field, degree: int) -> list:
     return [rng.randrange(field.p) for _ in range(degree + 1)]
 
 
+def _splitter(ring: _ModRing, r: list, field: Field) -> UniPoly:
+    # For r in F_p at each factor: r^((p-1)/2) - 1, or r for p = 2, which
+    # vanishes at about half of the factors.
+    if field.p > 2:
+        r = ring.pow(r, (field.p - 1) // 2)
+        r[0] -= 1
+    return UniPoly._exact(field, r)
+
+
 def _equal_degree(f: UniPoly, k: int, rng: random.Random) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-k
     irreducibles: a random r is taken into F_p at each factor by its norm
     r * r^p * ... * r^(p^(k-1)), or for p = 2 its trace r + r^2 + ... +
     r^(2^(k-1)), each r^(p^j) a vector-matrix product with f's Frobenius
-    matrix (von zur Gathen and Shoup, 1992)."""
-    n = f.degree()
+    matrix (von zur Gathen and Shoup, 1992); each trial splits every part
+    not yet of degree k by its gcd with the _splitter of r."""
+    field, n, parts = f.field, f.degree(), [f]
     if n == k:
-        return [f]
+        return parts
     ring = _ModRing(f)
     rows = ring.frobenius_rows() if k > 1 else None
-    combine = ring.mul if f.field.p > 2 else lambda a, b: [u ^ v for u, v in zip(a, b)]
-    return _refine(f, k, ring, lambda: ring.conjugate_fold(
-        _random_poly(rng, f.field, n - 1), k, rows, combine))
-
-
-def _split_fixed(f: UniPoly, m: int, rng: random.Random) -> list:
-    """Split f = Phi_m mod p into its irreducibles of degree k = ord_m(p) by
-    random Frobenius-fixed elements of F_p[x]/(x^m - 1) (see _split_cyclotomic)."""
-    p, orbit, count = f.field.p, [-1] * m, 0  # orbit[c]: the index of c's orbit
-    for c in range(m):
-        if orbit[c] < 0:
-            while orbit[c] < 0:
-                orbit[c], c = count, c * p % m
-            count += 1
-    k = orbit.count(orbit[1])
-    if f.degree() == k:
-        return [f]
-    # Each trial draws one residue per orbit.
-    return _refine(f, k, _CyclicRing(p, m), lambda: list(map(
-        _random_poly(rng, f.field, count - 1).__getitem__, orbit)))
-
-
-def _refine(f: UniPoly, k: int, ring: _ModRing, draw) -> list:
-    """Split f, a product of degree-k irreducibles: each trial draws an r in
-    F_p at each factor and splits every part not yet of degree k by its gcd
-    with h = r^((p-1)/2) - 1 (h = r for p = 2), zero at about half of them."""
-    p, parts = f.field.p, [f]
+    combine = ring.mul if field.p > 2 else lambda a, b: [u ^ v for u, v in zip(a, b)]
     for _ in range(_EDF_MAX_TRIES):
-        h = draw()
-        if p > 2:
-            h = ring.pow(h, (p - 1) // 2)
-            h[0] -= 1
-        h = UniPoly._exact(f.field, h) % f  # so each part's gcd starts below deg f
+        h = _splitter(ring, ring.conjugate_fold(
+            _random_poly(rng, field, n - 1), k, rows, combine), field)
         refined = []
         for part in parts:
             g = gcd_univariate(part, h) if part.degree() > k else part
@@ -498,24 +481,106 @@ def _refine(f: UniPoly, k: int, ring: _ModRing, draw) -> list:
     raise ArithmeticError("equal-degree splitting failed to converge")
 
 
+def _split_fixed(f: UniPoly, m: int, rng: random.Random) -> list:
+    """Split f = Phi_m mod p into its irreducibles of degree k = ord_m(p),
+    as _split_cyclotomic describes."""
+    field, orbit, leaders = f.field, [-1] * m, []  # orbit[c]: the index of c's leader
+    for c in range(m):
+        if orbit[c] < 0:
+            leaders.append(c)
+            while orbit[c] < 0:
+                orbit[c], c = len(leaders) - 1, c * field.p % m
+    k, part = orbit.count(orbit[1]), f
+    if f.degree() == k:
+        return [f]
+    ring = _CyclicRing(field.p, m)
+    for _ in range(_EDF_MAX_TRIES):
+        # Each trial draws one residue per orbit.
+        r = list(map(_random_poly(rng, field, len(leaders) - 1).__getitem__, orbit))
+        g = gcd_univariate(part, _splitter(ring, r, field))
+        if 0 < g.degree() < part.degree():
+            if f.degree() == 2 * k:
+                return [g, f.exact_quotient(g)]
+            part = min(g, part.exact_quotient(g), key=UniPoly.degree)
+            if part.degree() == k:
+                return _conjugates(part, m, orbit, leaders)
+    raise ArithmeticError("equal-degree splitting failed to converge")
+
+
+def _conjugates(g: UniPoly, m: int, orbit: list, leaders: list) -> list:
+    """Every factor of Phi_m mod p from one, g, of degree k = ord_m(p): one
+    per orbit of c -> pc on the units mod m.  For a root z of g, the factor
+    vanishing at z^c has the k roots z^(c p^j), distinct as p does not
+    divide m.  The sequence s_t = Tr(z^(ct)) = sum_j (z^(c p^j))^t gives
+    each root weight 1, so by a Vandermonde argument the factor is its
+    minimal polynomial in every characteristic, which _berlekamp_massey
+    reads off 2k terms.  Tr(z^e) sums, over j < k, the constant coefficient
+    of x^(e p^j) mod g: term e p^j mod m of g's linear recurrence seeded
+    1, 0, ..., 0."""
+    field, p, k = g.field, g.field.p, g.degree()
+    low, const = g.coeffs[:k], [1] + [0] * (k - 1)
+    for _ in range(k, m):
+        const.append(-sum(map(int.__mul__, low, const[-k:])) % p)
+    # The e p^j, j < k, run k / |orbit| times round the orbit of e.
+    sums, sizes = [0] * len(leaders), [0] * len(leaders)
+    for o, c in zip(orbit, const):
+        sums[o] += c
+        sizes[o] += 1
+    trace = [sums[o] * (k // sizes[o]) % p for o in orbit]
+    factors = [g]
+    for c in leaders[2:]:  # leaders[:2] is [0, 1], and g vanishes at z^1
+        if gcd(c, m) == 1:
+            sequence = [trace[c * t % m] for t in range(2 * k)]
+            factors.append(UniPoly._exact(field, _berlekamp_massey(sequence, p)))
+    return factors
+
+
+def _berlekamp_massey(s: list, p: int) -> list:
+    """The monic minimal polynomial, ascending, of a sequence s over F_p
+    that satisfies a linear recurrence of order at most len(s) / 2 (Massey,
+    IEEE Trans. Inf. Theory 15, 1969)."""
+    conn, prev, length, shift, last = [1], [1], 0, 1, 1
+    for n in range(len(s)):
+        d = sum(map(int.__mul__, conn, s[n::-1])) % p  # conn has degree <= length
+        if d:
+            new, scale = conn + [0] * (len(prev) + shift - len(conn)), d * pow(last, -1, p)
+            for i, b in enumerate(prev, shift):
+                new[i] = (new[i] - scale * b) % p
+            if 2 * length <= n:
+                prev, last, length, shift = conn, d, n + 1 - length, 0
+            conn = new
+        shift += 1
+    return (conn + [0] * length)[length::-1]
+
+
 def _is_irreducible(g: UniPoly, m: int) -> bool:
     """Rabin's test for a monic g of degree k >= 1 over F_p, p not dividing m:
     True iff g divides x^m - 1 and is irreducible.  g is irreducible iff
     x^(p^k) = x mod g and gcd(x^(p^(k/r)) - x, g) = 1 for every prime r
-    dividing k (Rabin, SIAM J. Comput. 9, 1980).  One exact division proves
-    g | x^m - 1 here, so x^e = x^(e mod m) mod g: each condition is a gcd
-    with a binomial x^(p^j mod m) - x, with no power and no Frobenius matrix,
-    and nothing is taken from the split that found g."""
+    dividing k (Rabin, SIAM J. Comput. 9, 1980).  One pass takes x^j mod g
+    for j = 1, ..., m, each from the last by a shift and a reduction, and
+    keeps x^(p^(k/r) mod m): x^m = 1 mod g proves g | x^m - 1, so then
+    x^e = x^(e mod m) mod g.  It takes no polynomial power and no Frobenius
+    matrix, and nothing from the split that found g."""
     field, k = g.field, g.degree()
-    if not (UniPoly._exact(field, [-1] + [0] * (m - 1) + [1]) % g).is_zero():
+    p, low = field.p, [-c for c in g.coeffs[:k]]  # x^k = low mod g
+    if k == 1:  # irreducible by definition: x^j = low[0]^j mod g
+        return pow(low[0], m, p) == 1
+    exponents = [pow(p, k // r, m) for r in [1] + _prime_divisors(k)]
+    power, kept = [1] + [0] * (k - 1), {}  # x^j mod g
+    for j in range(m):
+        if j in exponents:
+            kept[j] = power
+        top, power = power[-1], [0] + power[:-1]
+        if top:
+            power = [(a + top * b) % p for a, b in zip(power, low)]
+    # g divides x^m - 1, and x^(p^k) - x
+    if power != [1] + [0] * (k - 1) or kept[exponents[0]] != [0, 1] + [0] * (k - 2):
         return False
-    if k == 1:  # irreducible by definition; the test would only check a^p = a
-        return True
-    for r in [1] + _prime_divisors(k):  # r = 1: g divides x^(p^k) - x
-        binomial = [0, -1] + [0] * m
-        binomial[pow(field.p, k // r, m)] += 1
-        common = gcd_univariate(UniPoly._exact(field, binomial), g)
-        if not (common == g if r == 1 else common.is_one()):
+    for e in exponents[1:]:
+        h = kept[e][:]
+        h[1] -= 1  # x^(p^(k/r)) - x
+        if not gcd_univariate(g, UniPoly._exact(field, h)).is_one():
             return False
     return True
 
@@ -605,12 +670,16 @@ def _split_cyclotomic(m: int, field: Field, seed: Optional[int]) -> tuple:
     """Phi_m mod p, for p not dividing m, as its phi(m)/k monic irreducible
     factors of degree k = ord_m(p), each proven irreducible by Rabin's test.
 
-    They are split in F_p[x]/(x^m - 1).  An r whose coefficients are constant
-    on the orbits of c -> pc on Z/m has r^p = r, and the orbits are as many as
-    the irreducible factors of x^m - 1, the product of the Phi_d over d | m
-    (Lidl and Niederreiter, Finite Fields, Thm 2.47).  So such r make up the
-    whole Frobenius-fixed algebra, F_p at each factor, and a random one is a
-    random residue at each factor of Phi_m, drawn with no Frobenius matrix."""
+    One factor is split off in F_p[x]/(x^m - 1).  An r whose coefficients
+    are constant on the orbits of c -> pc on Z/m has r^p = r, and the orbits
+    are as many as the irreducible factors of x^m - 1, the product of the
+    Phi_d over d | m (Lidl and Niederreiter, Finite Fields, Thm 2.47).  So
+    such r make up the whole Frobenius-fixed algebra, F_p at each factor,
+    and a random one is a random residue at each factor of Phi_m, drawn with
+    no Frobenius matrix.  Each trial that splits the part left keeps its
+    smaller piece, until one factor g is left.  The factors are the minimal
+    polynomials of z^c for a root z of g and c prime to m, one per orbit,
+    and each is read off g's traces with no further trial (_conjugates)."""
     phi = UniPoly(field, cyclotomic(m).coeffs)
     factors = _split_fixed(phi, m, random.Random(f"{seed}:{m}"))
     for poly in factors:

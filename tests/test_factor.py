@@ -471,6 +471,16 @@ class TestRabin:
         divides = (UniPoly(g.field, [-1] + [0] * (n - 1) + [1]) % g).is_zero()
         assert _is_irreducible(g, n) == (rabin_by_frobenius_matrix(g) and divides)
 
+    def test_reads_x_to_the_p_to_the_k_off_the_pass(self):
+        # 2^2 = 4 mod 21, so x^(2^k) = x is checked on x^4 mod g, not read
+        # off x^1: t^2+t+1 divides x^21 - 1 and passes; its square has degree
+        # 4 and 2^4 = 16 mod 21, and it divides no squarefree x^21 - 1.
+        t = UniPoly.gen(F2)
+        g = t ** 2 + t + 1
+        assert pow(2, 2, 21) != 1 and pow(2, 4, 21) != 1
+        assert _is_irreducible(g, 21)
+        assert not _is_irreducible(g * g, 21)
+
     def test_rejects_an_irreducible_that_does_not_divide_the_binomial(self):
         # 2 is a primitive root mod 101, so t^2 - 2 is irreducible and its
         # roots have order 200; the factors of Phi_7 mod 101 have degree 6.
@@ -568,6 +578,88 @@ class TestEqualDegree:
         parts = factor._equal_degree(phi, k, random.Random(0))
         assert len(parts) == phi.degree() // k
         assert built == [phi] + [("rows", phi)] * rows
+
+
+CONJUGATE_PRIMES = (2, 3, 5, 7, 101, BIG_PRIME)
+
+
+def _trace_sequence(g, length):
+    # Oracle: s_e = Tr(x^e) in F_p[x]/(g), the trace of multiplication by
+    # x^e: the sum of the diagonal of its matrix on the basis 1, ..., x^(k-1).
+    k, t = g.degree(), UniPoly.gen(g.field)
+
+    def coefficient(poly, i):
+        return poly.coeffs[i] if i < len(poly.coeffs) else 0
+
+    return [sum(coefficient(_pow_mod_oracle(t, e + i, g), i) for i in range(k)) % g.field.p
+            for e in range(length)]
+
+
+class TestConjugateSplit:
+    # _split_fixed isolates one factor of Phi_m mod p and reads the others off
+    # its traces by Berlekamp-Massey; the oracle is Cantor-Zassenhaus.
+
+    @staticmethod
+    def _check(p, m, seed):
+        field = Field.prime(p)
+        phi = UniPoly(field, cyclotomic(m).coeffs)
+        fast = factor._split_fixed(phi, m, random.Random(seed))
+        oracle = factor._equal_degree(phi, _order(p, m), random.Random(seed))
+        assert sorted(fast, key=UniPoly.sort_key) == sorted(oracle, key=UniPoly.sort_key)
+        assert all(rabin_by_frobenius_matrix(g) for g in fast)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CONJUGATE_PRIMES).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(2, 120).filter(lambda m: m % p),
+                            st.integers(0, 3))))
+    def test_matches_the_equal_degree_oracle(self, case):
+        self._check(*case)
+
+    # Mod 3, Phi_13 is four cubics, so p divides k; mod 2, Phi_31 is six
+    # quintics, so p < k.
+    @pytest.mark.parametrize("p, m, k", [(3, 13, 3), (2, 31, 5)],
+                             ids=["p-divides-k", "p-below-k"])
+    def test_small_characteristic(self, p, m, k):
+        assert _order(p, m) == k
+        for seed in range(3):
+            self._check(p, m, seed)
+
+    # Phi_13 mod 3 is four cubics and Phi_5 mod 2 is irreducible of degree
+    # 4: s_0 = k = 0 mod p in both.
+    @pytest.mark.parametrize("p, m", [(3, 13), (2, 5)])
+    def test_berlekamp_massey_on_traces_with_s0_zero(self, p, m):
+        field = Field.prime(p)
+        phi = UniPoly(field, cyclotomic(m).coeffs)
+        for g in factor._equal_degree(phi, _order(p, m), random.Random(0)):
+            s = _trace_sequence(g, 2 * g.degree())
+            assert s[0] == 0
+            assert factor._berlekamp_massey(s, p) == list(g.coeffs)
+
+    def test_berlekamp_massey_finds_the_shortest_recurrence(self):
+        # 3^t mod 101 satisfies s_(t+1) = 3 s_t, and Fibonacci mod 7 the
+        # order-2 recurrence, however many terms are given.
+        assert factor._berlekamp_massey([pow(3, t, 101) for t in range(8)], 101) == [98, 1]
+        fibonacci = [0, 1]
+        while len(fibonacci) < 10:
+            fibonacci.append((fibonacci[-1] + fibonacci[-2]) % 7)
+        assert factor._berlekamp_massey(fibonacci, 7) == [6, 6, 1]
+
+    def test_modular_powers_at_the_largest_prime(self, monkeypatch, fresh_splits):
+        # Splitting every Phi_m, m <= 60, at seed 1 took 228 powers when every
+        # trial refined every part; the split path is seeded, so the count
+        # repeats exactly.
+        calls = []
+        original = factor._ModRing.pow
+
+        def counting(ring, a, e):
+            calls.append(e)
+            return original(ring, a, e)
+
+        monkeypatch.setattr(factor._ModRing, "pow", counting)
+        field = Field.prime(BIG_PRIME)
+        for m in range(2, 61):
+            factor._split_cyclotomic(m, field, 1)
+        assert 0 < len(calls) <= 120
 
 
 KERNEL_PRIMES = (2, 3, 101, BIG_PRIME)
