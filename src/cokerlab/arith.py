@@ -44,7 +44,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Field(namedtuple("Field", "p", defaults=(None,))):
+def _record(name: str, fields: str, **kwargs) -> type:
+    """A namedtuple base whose _make, and so _replace, build through the
+    subclass's constructor: a record that validates in __new__ is never
+    built unchecked."""
+    base = namedtuple(name, fields, **kwargs)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Field(_record("Field", "p", defaults=(None,))):
     """The rationals (``p is None``) or the prime field F_p."""
 
     __slots__ = ()
@@ -357,13 +366,7 @@ class MultiPoly:
         return MultiPoly(self.field, acc)
 
     def __sub__(self, other: MultiPoly) -> MultiPoly:
-        self._check(other)
-        acc = dict(self._terms)
-        get = acc.get
-        for mono, c in other._terms.items():
-            prev = get(mono)
-            acc[mono] = -c if prev is None else prev - c
-        return MultiPoly(self.field, acc)
+        return self + -other
 
     def __neg__(self) -> MultiPoly:
         return MultiPoly(self.field, {m: -c for m, c in self._terms.items()})

@@ -199,8 +199,15 @@ def run_factors(config: RunConfig) -> tuple:
             f"index set contains no integer of the form {field.p}^m-2; "
             "distinct-factor growth is not guaranteed along this set")
     growth = accumulate_distinct(config.index_set, field, seed=config.seed)
+    records = [{"index": i, "unit": str(report.unit),
+                "factors": _factors_json(report)["irreducible"],
+                "new_distinct": new, "cumulative_distinct": cum}
+               for i, report, new, cum in zip(growth.index_set, growth.per_index,
+                                              growth.new_distinct, growth.cumulative_distinct)]
     payload = _envelope(config)
-    payload.update({"warnings": warnings, "growth": growth.to_json_dict()})
+    payload.update({"warnings": warnings, "growth": {
+        "indices": list(growth.index_set), "records": records,
+        "final_distinct": growth.final_distinct}})
     return payload, True
 
 

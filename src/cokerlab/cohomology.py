@@ -15,7 +15,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
-from .arith import Field, Form, Monomial, MultiPoly, UniPoly, tau
+from .arith import Field, Form, Monomial, MultiPoly, UniPoly, _record, tau
 from .factor import FactorReport
 from .matrices import PolyMatrix, build_b, certify_det_b
 
@@ -47,7 +47,7 @@ def _multiplier_action(field: Field) -> tuple:
     return tuple((MultiPoly(field, part), a, b) for (a, b), part in sorted(grouped.items()))
 
 
-class InverseMonomial(namedtuple("InverseMonomial", "alpha beta")):
+class InverseMonomial(_record("InverseMonomial", "alpha beta")):
     """u^-alpha * v^-beta, stored through its positive exponent parts."""
 
     __slots__ = ()
@@ -190,7 +190,7 @@ class Generator(namedtuple("Generator", "monomial index bidegree")):
     __slots__ = ()
 
 
-class Presentation(namedtuple("Presentation", "generators relations")):
+class Presentation(_record("Presentation", "generators relations")):
     """Ordered generators together with the relation matrix among them."""
 
     __slots__ = ()
@@ -297,7 +297,9 @@ class PrimeWitness(namedtuple("PrimeWitness", "generator source_d avoids_s")):
 
 def prime_witnesses(d: int, report: FactorReport) -> list:
     """Irreducible factors of det(B_(d-1)) = tau_(d-1), as prime witnesses,
-    read off the factor report of tau_(d-1)."""
+    read off the factor report of tau_(d-1).  Each divides tau_(d-1) with no
+    division here: a FactorReport cannot be built, by its constructor, _make
+    or _replace, unless unit * prod(factor^mult) reassembles its input."""
     if d < 2:
         raise ValueError("prime_witnesses requires d >= 2")
     t_poly = report.input
@@ -307,13 +309,9 @@ def prime_witnesses(d: int, report: FactorReport) -> list:
     # s divides a form exactly when its coefficient of t^degree vanishes.
     if t_poly.u.degree() < t_poly.degree:
         raise ArithmeticError("s unexpectedly divides the determinant")
-    witnesses = []
-    for poly, _ in report.factors:
-        if not poly.divides(t_poly):
-            raise ArithmeticError("witness does not divide the determinant")
-        witnesses.append(PrimeWitness(generator=poly, source_d=d,
-                                      avoids_s=(poly != Form(UniPoly.one(field), 1))))
-    return witnesses
+    s = Form(UniPoly.one(field), 1)
+    return [PrimeWitness(generator=poly, source_d=d, avoids_s=poly != s)
+            for poly, _ in report.factors]
 
 
 # ----------------------------------------------------------------------------

@@ -12,7 +12,8 @@ off its traces.  Every factor is proven irreducible by Rabin's test, on
 x^j mod the factor for j <= m: x^m = 1 proves that it divides x^m - 1, and
 then each x^(p^j) is read off x^(p^j mod m).
 Each report re-verifies its reassembly by Kronecker-packed products, and that
-its distinct factors are coprime, for tau_i by one division of t^N - 1.
+its distinct factors are coprime, for tau_i by one division of t^N - 1; every
+way to build a report runs these checks, so its users need not divide again.
 
 Other inputs go through the generic engines, which the tests use as oracles:
 exact cyclotomic trial division over Q, and over a prime field squarefree
@@ -31,7 +32,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
-from .arith import Field, Form, UniPoly, _require_same_field, gcd_univariate, sigma, tau
+from .arith import Field, Form, UniPoly, _record, _require_same_field, gcd_univariate, sigma, tau
 
 _EDF_MAX_TRIES = 512
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes -> struct format code, ascending
@@ -41,7 +42,7 @@ _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes -> struct format code, a
 # Reports.
 
 
-class FactorReport(namedtuple("FactorReport", "input unit factors")):
+class FactorReport(_record("FactorReport", "input unit factors")):
     """Factorization into canonically normalized irreducibles.
 
     ``factors`` holds pairs (polynomial, multiplicity >= 1), and
@@ -125,22 +126,14 @@ def _product_mod_p(lists: list, p: int) -> list:
 
 def _is_squarefree(f: UniPoly) -> bool:
     """Whether f is squarefree: it is if it divides t^N - 1 for N = deg f + 1
-    or deg f prime to the characteristic, as t^N - 1 is prime to N*t^(N-1);
-    every tau_i report's distinct product does.  Else gcd(f, f') = 1; over F_p,
-    f' = 0 leaves gcd f.  For f in Z[t] with lc(f) prime to the check prime
-    p, a square h^2 | f over Q may be taken with h primitive in Z[t] (Gauss's
-    lemma), so lc(h) is prime to p and (h mod p)^2 divides f mod p with
-    deg(h mod p) >= 1: a gcd of 1 mod p proves f squarefree, and any other
-    modular result is settled over Q."""
+    or deg f prime to the characteristic, as t^N - 1 is prime to N*t^(N-1).
+    Every report the CLI builds, of some tau_i, returns here: its distinct
+    factors multiply to t^n - 1 or (t^n - 1)/(t - 1), with n prime to p.
+    Any other f is decided by gcd(f, f') = 1; over F_p, f' = 0 leaves gcd f."""
     p, n = f.field.characteristic, f.degree()
     for big in (n + 1, n):
         binomial = UniPoly._exact(f.field, [-1] + [0] * (big - 1) + [1])
         if big > 0 and (p == 0 or big % p) and (binomial % f).is_zero():
-            return True
-    if (f.field.is_rationals and all(isinstance(c, int) for c in f.coeffs)
-            and f.lc % _CHECK_FIELD.p):
-        reduced = UniPoly._exact(_CHECK_FIELD, list(f.coeffs))
-        if gcd_univariate(reduced, reduced.derivative()).is_one():
             return True
     return gcd_univariate(f, f.derivative()).is_one()
 
@@ -155,8 +148,8 @@ def _is_canonical_factor(poly: Union[Form, UniPoly]) -> bool:
     return lead == field.one
 
 
-class GrowthReport(namedtuple("GrowthReport",
-                               "index_set per_index new_distinct cumulative_distinct")):
+class GrowthReport(_record("GrowthReport",
+                            "index_set per_index new_distinct cumulative_distinct")):
     """Distinct irreducible factors accumulated along an index set, with the
     FactorReport of each index, in order, in ``per_index``."""
 
@@ -175,16 +168,6 @@ class GrowthReport(namedtuple("GrowthReport",
     def final_distinct(self) -> int:
         return self.cumulative_distinct[-1] if self.cumulative_distinct else 0
 
-    def to_json_dict(self) -> dict:
-        records = [{"index": idx, "unit": str(rep.unit),
-                    "factors": [{"factor": str(p), "multiplicity": m} for p, m in rep.factors],
-                    "new_distinct": new, "cumulative_distinct": cum}
-                   for idx, rep, new, cum in zip(self.index_set, self.per_index,
-                                                 self.new_distinct, self.cumulative_distinct)]
-        return {"indices": list(self.index_set),
-                "records": records,
-                "final_distinct": self.final_distinct}
-
 
 def accumulate_reports(indices: Sequence[int], reports: Sequence[FactorReport]) -> GrowthReport:
     """Deduplicate factors across reports and build the growth columns."""
@@ -201,8 +184,6 @@ def accumulate_reports(indices: Sequence[int], reports: Sequence[FactorReport]) 
 # Cyclotomic polynomials and rational factorization.
 
 _Q = Field.rationals()
-# The prime of _is_squarefree's modular test; built once, as Field.prime trial-divides.
-_CHECK_FIELD = Field.prime(1_000_003)
 
 
 @lru_cache(maxsize=None)
@@ -334,24 +315,20 @@ class _ModRing:
                         self.unpack(product >> split, self.n - 1), self.table)
 
     def pow(self, a: list, e: int) -> list:
-        """a^e for e >= 1, left to right: by square and multiply below 2^15,
-        and above by 4-bit windows over the odd powers a, a^3, ..., a^15,
-        which multiply once per 4-5 bits instead of once per set bit."""
-        if e < 1 << 15:
-            result = a
-            for bit in bin(e)[3:]:
-                result = self.mul(result, result)
-                if bit == "1":
-                    result = self.mul(result, a)
-            return result
-        odd, square = [self.pack(a)], self.pack(self.mul(a, a))
-        for _ in range(7):
-            odd.append(self.pack(self.reduce(odd[-1] * square)))
+        """a^e for e >= 1, left to right by sliding windows of w bits over the
+        odd powers a, a^3, ..., a^(2^w - 1).  From 2^15 up, w = 4 multiplies
+        once per 4-5 bits instead of once per set bit, after 8 products build
+        the table; below, w = 1 is square and multiply, with no table."""
+        width, odd = 4 if e >> 15 else 1, [self.pack(a)]
+        if width > 1:
+            square = self.pack(self.mul(a, a))
+            while len(odd) < 1 << width - 1:
+                odd.append(self.pack(self.reduce(odd[-1] * square)))
         bits = bin(e)[2:]
-        window = bits[:4].rstrip("0")
+        window = bits[:width].rstrip("0")
         result, i = odd[int(window, 2) >> 1], len(window)
         while i < len(bits):
-            window = bits[i:i + 4].rstrip("0") if bits[i] == "1" else "0"
+            window = bits[i:i + width].rstrip("0") if bits[i] == "1" else "0"
             for _ in window:
                 result = self.pack(self.reduce(result * result))
             if window != "0":

@@ -12,10 +12,9 @@ collapsed relations are its leading block B_(n-2).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Optional, Sequence
 
-from .arith import Field, Monomial, MultiPoly
+from .arith import Field, Monomial, MultiPoly, _record
 from .cohomology import Generator, Presentation
 from .factor import GrowthReport, accumulate_reports, factor_tau
 from .matrices import build_b, build_m, certify_det_b
@@ -34,7 +33,7 @@ def defining_quartic(field: Field) -> MultiPoly:
     return x * y * (x - y) * (s * x - t * y)
 
 
-class FrobeniusComponent(namedtuple("FrobeniusComponent", "n d case presentation")):
+class FrobeniusComponent(_record("FrobeniusComponent", "n d case presentation")):
     """One graded component, its presentation, and which truncation case
     produced it."""
 

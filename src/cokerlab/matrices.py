@@ -13,10 +13,9 @@ and square-system membership are kept as structure-blind oracles.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Sequence
 
-from .arith import Field, Form, MultiPoly, UniPoly, exact_divide, tau
+from .arith import Field, Form, MultiPoly, UniPoly, _record, exact_divide, tau
 
 
 class PolyMatrix:
@@ -346,8 +345,8 @@ def adjugate_column(m: PolyMatrix, j: int) -> list:
 # Square-system membership.
 
 
-class MembershipCertificate(namedtuple("MembershipCertificate", "solution failed_column",
-                                       defaults=(None, None))):
+class MembershipCertificate(_record("MembershipCertificate", "solution failed_column",
+                                    defaults=(None, None))):
     """Outcome of solving B w = v over the polynomial ring.
 
     Either ``solution`` holds the exact polynomial solution, or

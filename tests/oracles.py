@@ -5,7 +5,10 @@ tests import this module by name from their own directory.
 """
 
 from cokerlab import factor
-from cokerlab.arith import Form, UniPoly, gcd_univariate
+from cokerlab.arith import Field, Form, UniPoly, gcd_univariate
+
+# squarefree_by_gcd's modular pre-test prime; built once, as Field.prime trial-divides.
+CHECK_FIELD = Field.prime(1_000_003)
 
 
 def rabin_by_frobenius_matrix(g: UniPoly) -> bool:
@@ -55,12 +58,14 @@ def check_factor_report(report_input, unit, factors) -> None:
 
 
 def squarefree_by_gcd(f: UniPoly) -> bool:
-    """gcd(f, f') = 1; over F_p, f' = 0 leaves gcd f.  Over Z[t] with lc(f)
-    prime to the check prime, a gcd of 1 modulo it decides first."""
-    check = factor._CHECK_FIELD
+    """gcd(f, f') = 1; over F_p, f' = 0 leaves gcd f.  For f in Z[t] with
+    lc(f) prime to the check prime p, a square h^2 | f over Q may be taken
+    with h primitive in Z[t] (Gauss's lemma), so lc(h) is prime to p and
+    (h mod p)^2 divides f mod p with deg(h mod p) >= 1: a gcd of 1 mod p
+    proves f squarefree, and any other modular result is settled over Q."""
     if (f.field.is_rationals and all(isinstance(c, int) for c in f.coeffs)
-            and f.lc % check.p):
-        reduced = UniPoly._exact(check, list(f.coeffs))
+            and f.lc % CHECK_FIELD.p):
+        reduced = UniPoly._exact(CHECK_FIELD, list(f.coeffs))
         if gcd_univariate(reduced, reduced.derivative()).is_one():
             return True
     return gcd_univariate(f, f.derivative()).is_one()

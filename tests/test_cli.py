@@ -230,6 +230,18 @@ class TestFactorsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["growth"]["final_distinct"] == 20
 
+    def test_growth_payload_matches_the_report(self, capsys):
+        assert main(["factors", "--set", "2,5,11"]) == EXIT_OK
+        growth = json.loads(capsys.readouterr().out)["growth"]
+        report = factor.accumulate_distinct([2, 5, 11], Field.rationals())
+        assert growth["indices"] == [r["index"] for r in growth["records"]] == [2, 5, 11]
+        assert growth["final_distinct"] == report.final_distinct
+        assert [(r["unit"], [(f["factor"], f["multiplicity"]) for f in r["factors"]],
+                 r["new_distinct"], r["cumulative_distinct"]) for r in growth["records"]] == [
+            (str(rep.unit), [(str(p), m) for p, m in rep.factors], new, cum)
+            for rep, new, cum in zip(report.per_index, report.new_distinct,
+                                     report.cumulative_distinct)]
+
     def test_prime_power_ladder(self, capsys):
         assert main(["factors", "--set", "1,7,25", "--field", "fp:3"]) == EXIT_OK
         records = json.loads(capsys.readouterr().out)["growth"]["records"]

@@ -9,13 +9,11 @@ from cokerlab import (
     Bidegree,
     FactorReport,
     Field,
-    FrobeniusComponent,
     Generator,
     GrowthReport,
     InverseMonomial,
     MembershipCertificate,
     Monomial,
-    Presentation,
     UniPoly,
     accumulate_distinct,
     build_a,
@@ -85,37 +83,50 @@ def test_value_equality_and_hashing(make, other):
     assert len({a, b, other}) == 2
 
 
+# Each case: a valid record, and field values that break its construction check.
 def _bad_presentation_rows():
     good = component_dd(build_a(3, Q))
-    return Presentation(good.generators[:-1], good.relations)
+    return good, {"generators": good.generators[:-1]}
 
 
 def _mixed_bidegrees():
     good = component_dd(build_a(3, Q))
     first, *rest = good.generators
     marked = Generator(first.monomial, first.index, Bidegree(0, 0))
-    return Presentation((marked, *rest), good.relations)
+    return good, {"generators": (marked, *rest)}
 
 
 def _wrong_frobenius_shape():
-    good = component_t(6, 7, Q)
-    return FrobeniusComponent(6, 7, "below", good.presentation)
+    return component_t(6, 7, Q), {"case": "below"}
 
 
 def _zero_multiplicity():
     t = UniPoly.gen(Q)
-    return FactorReport(input=t + 1, unit=1, factors=((t + 1, 0),))
+    return FactorReport(input=t + 1, unit=1, factors=((t + 1, 1),)), {"factors": ((t + 1, 0),)}
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: Field(p=4), "4 is not prime"),
-    (lambda: Field(1 << 31), "exceeds the supported bound"),
-    (_bad_presentation_rows, "relation rows must match"),
-    (_mixed_bidegrees, "share one bidegree"),
-    (_wrong_frobenius_shape, "does not match case below"),
-    (_zero_multiplicity, "multiplicities must be >= 1"),
+@pytest.mark.parametrize("case, error, message", [
+    (lambda: (Field(7), {"p": 4}), ValueError, "4 is not prime"),
+    (lambda: (Field(7), {"p": 1 << 31}), ValueError, "exceeds the supported bound"),
+    (_bad_presentation_rows, ValueError, "relation rows must match"),
+    (_mixed_bidegrees, ValueError, "share one bidegree"),
+    (_wrong_frobenius_shape, ValueError, "does not match case below"),
+    (_zero_multiplicity, ValueError, "multiplicities must be >= 1"),
+    (lambda: (factor_tau(5, Q), {"unit": 7}), ArithmeticError, "does not reassemble"),
+    (lambda: (accumulate_distinct([1, 2], Q), {"cumulative_distinct": (2, 1)}),
+     ValueError, "must be non-decreasing"),
+    (lambda: (InverseMonomial(1, 2), {"alpha": 0}), ValueError, "exponents must be >= 1"),
+    (lambda: (MembershipCertificate(failed_column=1), {"solution": ()}),
+     ValueError, "exactly one outcome"),
 ], ids=["composite-field", "field-bound", "presentation-rows",
-        "presentation-bidegrees", "frobenius-shape", "factor-multiplicity"])
-def test_construction_checks_still_raise(build, message):
-    with pytest.raises(ValueError, match=message):
-        build()
+        "presentation-bidegrees", "frobenius-shape", "factor-multiplicity",
+        "factor-unit", "growth-cumulative", "inverse-monomial", "membership-outcome"])
+def test_construction_checks_still_raise(case, error, message):
+    # Every way to build a record runs its check: the constructor, _make and
+    # _replace, which namedtuple builds through _make.
+    good, changes = case()
+    values = {**good._asdict(), **changes}
+    for build in (lambda: type(good)(**values), lambda: type(good)._make(values.values()),
+                  lambda: good._replace(**changes)):
+        with pytest.raises(error, match=message):
+            build()
