@@ -825,9 +825,11 @@ class Form:
         return Form(-self.u if i % 2 else self.u, self.degree + i)
 
     def divides(self, other: Form) -> bool:
-        """Whether self divides other: on the parts in t, and in the power of s."""
+        """Whether self divides other: on the parts in t, and in the power of s.
+        The zero form divides only zero."""
         return other.is_zero() or (
-            (other.u % self.u).is_zero()
+            not self.is_zero()
+            and (other.u % self.u).is_zero()
             and other.degree - other.u.degree() >= self.degree - self.u.degree())
 
     def __eq__(self, other: object) -> bool:

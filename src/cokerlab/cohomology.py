@@ -15,7 +15,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
-from .arith import Field, Form, Monomial, MultiPoly, UniPoly, _record, tau
+from .arith import Field, Monomial, MultiPoly, _record, tau
 from .factor import FactorReport
 from .matrices import PolyMatrix, build_b, certify_det_b
 
@@ -141,11 +141,7 @@ def matrix_of_f(d: int, field: Field) -> PolyMatrix:
 # Bigrading.
 
 
-class Bidegree(namedtuple("Bidegree", "total weight")):
-    __slots__ = ()
-
-    def as_pair(self) -> tuple:
-        return (self.total, self.weight)
+Bidegree = namedtuple("Bidegree", "total weight")
 
 
 def bidegree(mono: Monomial, j: int) -> Bidegree:
@@ -299,18 +295,13 @@ def prime_witnesses(d: int, report: FactorReport) -> list:
     """Irreducible factors of det(B_(d-1)) = tau_(d-1), as prime witnesses,
     read off the factor report of tau_(d-1).  Each divides tau_(d-1) with no
     division here: a FactorReport cannot be built, by its constructor, _make
-    or _replace, unless unit * prod(factor^mult) reassembles its input."""
+    or _replace, unless unit * prod(factor^mult) reassembles its input.  No
+    factor is s, since tau_(d-1) has coefficient (-1)^(d-1) at t^(d-1)."""
     if d < 2:
         raise ValueError("prime_witnesses requires d >= 2")
-    t_poly = report.input
-    field = t_poly.field
-    if t_poly != tau(d - 1, field):
+    if report.input != tau(d - 1, report.input.field):
         raise ValueError("the report does not factor tau_(d-1)")
-    # s divides a form exactly when its coefficient of t^degree vanishes.
-    if t_poly.u.degree() < t_poly.degree:
-        raise ArithmeticError("s unexpectedly divides the determinant")
-    s = Form(UniPoly.one(field), 1)
-    return [PrimeWitness(generator=poly, source_d=d, avoids_s=poly != s)
+    return [PrimeWitness(generator=poly, source_d=d, avoids_s=True)
             for poly, _ in report.factors]
 
 

@@ -84,7 +84,7 @@ def test_criterion_04_bigraded_collapse():
         a = build_a(d - 1, Q)
         assert component_dd(a).relations == build_b(d - 1, Q)
         for j in range(a.cols):
-            assert column_bidegree(a, j).as_pair() == (2, j + 1)
+            assert column_bidegree(a, j) == (2, j + 1)
     _report(4, "component relations equal B_(d-1) and columns are bigraded, d = 2..15")
 
 

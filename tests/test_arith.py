@@ -311,6 +311,8 @@ class TestFormAgainstMultiPoly:
             assert str(z) == "0"
             assert z + t_s == t_s and z * t_s == z
             assert z.is_zero() and t_s.divides(z)
+            # A zero form divides only zero.
+            assert z.divides(z) and not z.divides(t_s) and not z.divides(tau(2, field))
         assert Form(UniPoly.one(field), 0) != Form(UniPoly.one(field), 1)
 
     def test_times_minus_s(self):

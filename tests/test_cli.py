@@ -1,3 +1,4 @@
+import doctest
 import hashlib
 import importlib.util
 import json
@@ -27,6 +28,7 @@ from cokerlab.matrices import PolyMatrix
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRACER = Path(__file__).parents[1] / "bench" / "tracer.py"
+README = Path(__file__).parents[1] / "README.md"
 # Child processes import the same cokerlab package as this test process.
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cokerlab.__file__).parents[1])}
 
@@ -428,10 +430,9 @@ class TestComputedOnce:
             # Only A_N is built, for the column bidegrees and component_dd:
             # each smaller A_(d-1) is a leading block of it.
             assert [args[0] for args in a_builds] == [5]
-            # Only the fiber of B_N at s = t = 0 substitutes; no determinant
-            # is taken.
-            assert len(substitutions) == 1
-            assert determinants == []
+            # The fiber of B_N at s = t = 0 is read off its certificate, not
+            # substituted for, and no determinant is taken.
+            assert substitutions == determinants == []
             return
         assert a_builds == substitutions == []
         if argv[0] == "frobenius":
@@ -868,3 +869,9 @@ class TestPackageExports:
         exec("from cokerlab import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(cokerlab.__all__)
+
+    def test_readme_tour_runs(self):
+        # The tour imports from the package, so a dropped or renamed export
+        # fails here.
+        results = doctest.testfile(str(README), module_relative=False)
+        assert results.attempted > 0 and results.failed == 0
