@@ -3,8 +3,8 @@
 Identical configurations (command, field, ranges, seed) produce byte
 identical JSON: reports carry no timestamps, factor lists are sorted
 canonically, and keys are emitted sorted.  Exit codes: 0 all checks pass,
-1 a mathematical check failed, 2 usage or configuration error, or an
-unwritable --output.
+1 a mathematical check failed, 2 usage or configuration error, or a
+report that cannot be written to --output or stdout.
 """
 
 from __future__ import annotations
@@ -439,7 +439,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(rendered)
+        try:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: cannot write report to stdout: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

@@ -84,39 +84,31 @@ class FactorReport(_record("FactorReport", "input unit factors")):
 
 def _reassemble(unit, pairs: list, field: Field) -> tuple:
     """(unit * prod(u^e), a nonzero multiple of prod(u)) over the pairs (u, e),
-    by Kronecker substitution.  Over Q each u, lifted to Z[t] by the lcm of
-    its denominators, is packed once at t = 2^(8w), offset by half a slot so
-    that negative coefficients pack, with w sized from the product of the
-    lifts' 1-norms; each product is one big-int product, unpacked once.  Over
-    F_p those slots would widen by log p per factor, so a balanced tree
-    multiplies pairs and reduces each product mod p: over the u, then over
-    their product and e - 1 more copies of each u."""
-    p, den, bound, n, simple, extra = field.p, 1, 1, 1, [], []
+    in a balanced tree of Kronecker-packed products reduced mod M: over the
+    u, then over their product and e - 1 more copies of each u.  Over F_p,
+    M = p.  Over Q each u is lifted to Z[t] by the lcm of its denominators,
+    and M = 2B + 1 for B the product of the lifts' 1-norms ||lift||_1^e: as
+    ||fg||_1 <= ||f||_1 ||g||_1, each coefficient c of either product has
+    |c| <= B < M/2, so the symmetric lift of its residue is c itself."""
+    p, den, bound, lifts = field.p, 1, 1, []
     for u, e in pairs:
         d = 1 if p else lcm(*map(attrgetter("denominator"), u.coeffs))
-        simple.append(list((u.scale(d) if d > 1 else u).coeffs))
-        extra += [simple[-1]] * (e - 1)
-        den, bound, n = den * d ** e, bound * sum(map(abs, simple[-1])) ** e, n + u.degree() * e
-    if p:
-        distinct = _product_mod_p(simple, p)
-        product = _product_mod_p(extra + [distinct], p)
-    else:
-        packer = _CyclicRing(0, n, bound.bit_length() + 1)  # p = 0: slots read whole
-        half = packer.p >> 1
-        offset = packer.pack([half] * n)
-        distinct = product = 1
-        for lift, (_, e) in zip(simple, pairs):
-            low = offset & ((1 << 8 * packer.size * len(lift)) - 1)
-            packed = packer.pack(list(map(half.__add__, lift))) - low
-            distinct, product = distinct * packed, product * packed ** e
-        distinct = list(map(half.__rsub__, packer.unpack(distinct + offset, n)))
-        product = list(map(half.__rsub__, packer.unpack(product + offset, n)))
+        lifts.append(list((u.scale(d) if d > 1 else u).coeffs))
+        den, bound = den * d ** e, bound * sum(map(abs, lifts[-1])) ** e
+    modulus = p or 2 * bound + 1
+    residues = [[c % modulus for c in lift] for lift in lifts]
+    distinct = _product_mod(residues, modulus)
+    product = _product_mod([r for r, (_, e) in zip(residues, pairs) for _ in range(e - 1)]
+                           + [distinct], modulus)
+    if not p:  # the residues above B stand for negative coefficients
+        distinct, product = ([c - modulus if c > bound else c for c in x]
+                             for x in (distinct, product))
     product = UniPoly._exact(field, product).scale(field.div(unit, den))
     return product, UniPoly._exact(field, distinct)
 
 
-def _product_mod_p(lists: list, p: int) -> list:
-    ring = _CyclicRing(p, sum(map(len, lists)))  # its slots hold every product's sums
+def _product_mod(lists: list, modulus: int) -> list:
+    ring = _CyclicRing(modulus, sum(map(len, lists)))  # its slots hold every product's sums
     while len(lists) > 1:
         products = map(int.__mul__, map(ring.pack, lists[::2]), map(ring.pack, lists[1::2]))
         sizes = map(int.__add__, map(len, lists[::2]), map(len, lists[1::2]))
@@ -268,28 +260,19 @@ def _cyclotomic_trial_division(w: UniPoly) -> list:
 # Factorization over a prime field.
 
 
-class _ModRing:
-    """F_p[t]/(f) for a monic f of degree n, on canonical coefficient lists
-    (ascending, length n) packed into ints by Kronecker substitution (Harvey,
-    J. Symbolic Comput. 44, 2009).  A slot of 2*bitlen(p) + bitlen(n) + 1 bits
-    holds a sum of 2n - 1 products of residues, so a product is one big-int
-    multiply; slots of 1, 2, 4 or 8 bytes pack through struct."""
+class _CyclicRing:
+    """F_p[x]/(x^n - 1) on canonical coefficient lists (ascending, length n)
+    packed into ints by Kronecker substitution (Harvey, J. Symbolic Comput.
+    44, 2009).  A slot of 2*bitlen(p) + bitlen(n) + 1 bits holds a sum of
+    2n - 1 products of residues, so a product is one big-int multiply, and
+    as x^n = 1 it is reduced by adding its high slots onto its low ones;
+    slots of 1, 2, 4 or 8 bytes pack through struct.  p need not be prime:
+    _reassemble packs residues mod any M."""
 
-    def __init__(self, f: UniPoly):
-        self._slots(f.field.p, f.degree())
-        p, n, self.f = self.p, self.n, f
-        # table[j - n] = x^j mod f for n <= j <= 2n - 2, from x^n = -(f - x^n).
-        low = [-c % p for c in f.coeffs[:n]]
-        row, self.table = low, []
-        for _ in range(n - 1):
-            self.table.append(self.pack(row))
-            row = [(a + row[-1] * b) % p for a, b in zip([0] + row, low)]
-
-    def _slots(self, p: int, n: int, bits: int = 0) -> None:
-        # Slots of `bits` bits, by default a sum of n products of residues.
-        bits = bits or 2 * p.bit_length() + n.bit_length() + 1
+    def __init__(self, p: int, n: int):
+        bits = 2 * p.bit_length() + n.bit_length() + 1
         self.size = next((b for b in _WORDS if 8 * b >= bits), -(-bits // 8))
-        self.p, self.n, self.code = p or 1 << 8 * self.size, n, _WORDS.get(self.size)
+        self.p, self.n, self.code = p, n, _WORDS.get(self.size)
 
     def pack(self, c: list) -> int:
         return int.from_bytes(struct.pack(f"<{len(c)}{self.code}", *c) if self.code else
@@ -301,18 +284,12 @@ class _ModRing:
             return [v % p for v in struct.unpack(f"<{m}{self.code}", data)]
         return [int.from_bytes(data[i:i + size], "little") % p for i in range(0, len(data), size)]
 
-    def dot(self, low: int, coeffs: list, rows: list) -> list:
-        """unpack(low + sum c_j * rows_j): reduction mod f on the table, and
-        the Frobenius map h^p = sum h_j x^(p*j) on the Frobenius rows."""
-        return self.unpack(low + sum(c * row for c, row in zip(coeffs, rows) if c), self.n)
-
     def mul(self, a: list, b: list) -> list:
         return self.reduce(self.pack(a) * self.pack(b))
 
     def reduce(self, product: int) -> list:  # a packed product of two elements
         split = 8 * self.size * self.n
-        return self.dot(product & ((1 << split) - 1),
-                        self.unpack(product >> split, self.n - 1), self.table)
+        return self.unpack((product & ((1 << split) - 1)) + (product >> split), self.n)
 
     def pow(self, a: list, e: int) -> list:
         """a^e for e >= 1, left to right by sliding windows of w bits over the
@@ -335,6 +312,32 @@ class _ModRing:
                 result = self.pack(self.reduce(result * odd[int(window, 2) >> 1]))
             i += len(window)
         return self.unpack(result, self.n)
+
+
+class _ModRing(_CyclicRing):
+    """F_p[t]/(f) for a monic f of degree n, for the generic engines: the
+    packing of _CyclicRing, with a product reduced on a table of the packed
+    x^j mod f, and f's Frobenius matrix."""
+
+    def __init__(self, f: UniPoly):
+        super().__init__(f.field.p, f.degree())
+        p, n, self.f = self.p, self.n, f
+        # table[j - n] = x^j mod f for n <= j <= 2n - 2, from x^n = -(f - x^n).
+        low = [-c % p for c in f.coeffs[:n]]
+        row, self.table = low, []
+        for _ in range(n - 1):
+            self.table.append(self.pack(row))
+            row = [(a + row[-1] * b) % p for a, b in zip([0] + row, low)]
+
+    def dot(self, low: int, coeffs: list, rows: list) -> list:
+        """unpack(low + sum c_j * rows_j): reduction mod f on the table, and
+        the Frobenius map h^p = sum h_j x^(p*j) on the Frobenius rows."""
+        return self.unpack(low + sum(c * row for c, row in zip(coeffs, rows) if c), self.n)
+
+    def reduce(self, product: int) -> list:  # a packed product of two elements
+        split = 8 * self.size * self.n
+        return self.dot(product & ((1 << split) - 1),
+                        self.unpack(product >> split, self.n - 1), self.table)
 
     def elem(self, u: UniPoly) -> list:
         return list((u % self.f).coeffs + (0,) * self.n)[:self.n]
@@ -360,18 +363,6 @@ class _ModRing:
             if bit == "1":
                 acc, j = combine(r, self.dot(0, acc, rows)), j + 1
         return acc
-
-
-class _CyclicRing(_ModRing):
-    """F_p[x]/(x^m - 1): as x^m = 1, a product is reduced by adding its high
-    slots onto its low ones, so each slot sums m products of residues."""
-
-    def __init__(self, p: int, m: int, bits: int = 0):
-        self._slots(p, m, bits)
-
-    def reduce(self, product: int) -> list:
-        split = 8 * self.size * self.n
-        return self.unpack((product & ((1 << split) - 1)) + (product >> split), self.n)
 
 
 def _squarefree_parts(f: UniPoly) -> list:

@@ -323,6 +323,22 @@ class TestReproducibility:
         assert main(argv + ["--output", str(second)]) == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("lenient, plain", [
+        (["factors", "--set", "\u0661..\u0663"], ["factors", "--set", "1..3"]),
+        (["factors", "--set", "1_0"], ["factors", "--set", "10"]),
+        (["verify-lemma1", "--max-i", "+5"], ["verify-lemma1", "--max-i", "5"]),
+        (["factors", "--set", "1..3", "--field", "FP:7"],
+         ["factors", "--set", "1..3", "--field", "fp:7"]),
+    ], ids=["arabic-indic-digits", "underscore", "plus-sign", "field-case"])
+    def test_lenient_spellings_give_the_plain_report(self, capsys, lenient, plain):
+        # Integers are read by int() and --field without regard to case, and
+        # the report records the values read, not their spelling.
+        reports = []
+        for argv in (lenient, plain):
+            assert main(argv) == EXIT_OK
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
+
     def test_cohomology_golden(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["cohomology", "--d-min", "2", "--d-max", "5",
@@ -840,6 +856,17 @@ class TestConsoleScript:
             capture_output=True, text=True, timeout=120, env=CHILD_ENV)
         assert result.returncode == EXIT_OK
         assert "RESULT: PASS" in result.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_unwritable_stdout_exits_2_on_one_line(self):
+        # Like an unwritable --output; the flush at exit must not fail again.
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "cokerlab.cli", "verify-lemma1", "--max-i", "2"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=CHILD_ENV)
+        assert result.returncode == EXIT_USAGE
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
 
     def test_version_flag(self):
         result = subprocess.run(

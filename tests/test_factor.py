@@ -432,7 +432,7 @@ class TestRabin:
 
         for name in ("_equal_degree", "_split_fixed"):
             monkeypatch.setattr(factor, name, no_call)
-        monkeypatch.setattr(factor._ModRing, "pow", no_call)
+        monkeypatch.setattr(factor._CyclicRing, "pow", no_call)
         assert len(factors) > 1
         for g in factors:
             assert _is_irreducible(g, 77)
@@ -649,13 +649,13 @@ class TestConjugateSplit:
         # trial refined every part; the split path is seeded, so the count
         # repeats exactly.
         calls = []
-        original = factor._ModRing.pow
+        original = factor._CyclicRing.pow
 
         def counting(ring, a, e):
             calls.append(e)
             return original(ring, a, e)
 
-        monkeypatch.setattr(factor._ModRing, "pow", counting)
+        monkeypatch.setattr(factor._CyclicRing, "pow", counting)
         field = Field.prime(BIG_PRIME)
         for m in range(2, 61):
             factor._split_cyclotomic(m, field, 1)
@@ -956,6 +956,21 @@ class TestReassemblyKernel:
                     assert report.factors == ((f, mult),)
                     with pytest.raises(ArithmeticError):
                         FactorReport(input=-(f ** mult) + 1, unit=-1, factors=((f, mult),))
+
+    @pytest.mark.parametrize("c", [0, 2 ** 7 - 1, 2 ** 8, 2 ** 31 - 1, 2 ** 32, 2 ** 64])
+    def test_rejects_inputs_congruent_mod_the_packing_modulus(self, c):
+        # Over Q the products are taken mod M = 2B + 1, with B = (1 + c)^mult
+        # the product of the lifts' 1-norms; an input off by +-M in one
+        # coefficient agrees with the product mod M, and must still fail.
+        t = UniPoly.gen(Q)
+        for f in {t + c, t - c}:
+            for mult in (1, 2, 3):
+                coeffs, modulus = list((-(f ** mult)).coeffs), 2 * (1 + c) ** mult + 1
+                for k in range(mult + 1):
+                    for delta in (modulus, -modulus):
+                        moved = coeffs[:k] + [coeffs[k] + delta] + coeffs[k + 1:]
+                        with pytest.raises(ArithmeticError):
+                            FactorReport(input=UniPoly(Q, moved), unit=-1, factors=((f, mult),))
 
     def test_reassembles_negative_and_fractional_coefficients_over_q(self):
         f, g = UniPoly(Q, [-3, Fraction(-1, 2), 1]), UniPoly(Q, [Fraction(-5, 3), 2])
