@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import stat
 import sys
 from collections import namedtuple
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
@@ -300,18 +300,46 @@ _RUNNERS = {
 # Rendering.
 
 
-def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_parts(value, indent: str, levels: int, out: list) -> list:
+    """Append a dict, list or tuple to out, and return out, as json.dumps(value,
+    indent=2, sort_keys=True) writes it after indent (a newline and the indent
+    of its line), each member in the top levels of containers as one string."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        keys = sorted(value)
+        heads = [f",{inner}{_quote(k)}: " for k in keys]
+        value, brackets = map(value.get, keys), "{}"
+    elif isinstance(value, (list, tuple)):
+        heads, brackets = [f",{inner}"] * len(value), "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    heads[:1] = [head[1:] for head in heads[:1]]  # no comma before the first member
+    out.append(brackets[0])
+    for head, member in zip(heads, value):
+        start = len(out)
+        out.append(head)
+        if isinstance(member, str):
+            out.append(_quote(member))
+        elif member is None or member is True or member is False:
+            out.append("null" if member is None else "true" if member else "false")
+        elif isinstance(member, int):
+            out.append(int.__repr__(member))
+        else:
+            _json_parts(member, inner, levels - 1, out)
+            if levels > 1:  # its own members are joined already
+                continue
+        if levels > 0:
+            out[start:] = ["".join(out[start:])]
+    out.append(indent + brackets[1] if heads else brackets[1])
+    return out
 
 
-def _csv_text(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
+def render_json(payload: dict) -> list:
+    """The report as json.dumps(payload, indent=2, sort_keys=True) writes it."""
+    return _json_parts(payload, "\n", 3, []) + ["\n"]
 
 
-def render_csv(payload: dict) -> str:
+def render_csv(payload: dict) -> list:
     command = payload["command"]
     if command == "verify-lemma1":
         rows = [("i", "identity", "recurrence")]
@@ -331,10 +359,12 @@ def render_csv(payload: dict) -> str:
         rows = [("n", "new_witnesses", "cumulative")]
         for r in payload["records"]:
             rows.append((r["n"], r["new_witnesses"], r["cumulative_witnesses"]))
-    return _csv_text(rows)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return [buffer.getvalue()]
 
 
-def render_text(payload: dict) -> str:
+def render_text(payload: dict) -> list:
     command = payload["command"]
     lines = [f"{command}: field={payload['field']} version={payload['version']}"]
     if command == "verify-lemma1":
@@ -375,14 +405,14 @@ def render_text(payload: dict) -> str:
                 f"{'PASS' if r['det_equals_tau'] else 'FAIL'}; "
                 f"new={r['new_witnesses']} cumulative={r['cumulative_witnesses']}")
         lines.append(f"RESULT: {'PASS' if payload['all_pass'] else 'FAIL'}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
-def _write_report(path: Path, text: str) -> None:
-    """Write text to path atomically: the path holds its old content or the
+def _write_report(path: Path, chunks: list) -> None:
+    """Write chunks to path atomically: the path holds its old content or the
     whole report, never part of it, and no temporary file is left behind.
 
     A path that is not a regular file, such as /dev/stdout, is written in
@@ -393,7 +423,8 @@ def _write_report(path: Path, text: str) -> None:
     except FileNotFoundError:
         replaceable = True
     if not replaceable:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
         return
     # Replace the file a symbolic link names, not the link.
     target = Path(os.path.realpath(path))
@@ -401,7 +432,7 @@ def _write_report(path: Path, text: str) -> None:
     handle = open(temp, "x", encoding="utf-8")
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -409,7 +440,7 @@ def _write_report(path: Path, text: str) -> None:
 
 
 def run(config: RunConfig) -> tuple:
-    """Execute a validated configuration; returns (payload, rendered, exit code)."""
+    """Execute a validated configuration; returns (payload, chunks, exit code)."""
     payload, ok = _RUNNERS[config.command](config)
     rendered = _RENDERERS[config.fmt](payload)
     return payload, rendered, (EXIT_OK if ok else EXIT_CHECK_FAILED)
@@ -431,21 +462,18 @@ def main(argv=None) -> int:
         # Text reports already carry their warnings inline.
         for warning in payload.get("warnings", ()):
             print(f"warning: {warning}", file=sys.stderr)
-    if config.output is not None:
-        try:
+    try:
+        if config.output is not None:
             _write_report(config.output, rendered)
-        except OSError as exc:
-            print(f"error: cannot write report to {config.output}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        try:
-            sys.stdout.write(rendered)
+        elif sys.stdout is None:  # Python's stdout when descriptor 1 is closed
+            raise OSError("descriptor 1 is closed")
+        else:
+            sys.stdout.writelines(rendered)
             sys.stdout.flush()
-        except OSError as exc:
-            print(f"error: cannot write report to stdout: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write report to {config.output or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -101,14 +101,16 @@ def _reassemble(unit, pairs: list, field: Field) -> tuple:
     product = _product_mod([r for r, (_, e) in zip(residues, pairs) for _ in range(e - 1)]
                            + [distinct], modulus)
     if not p:  # the residues above B stand for negative coefficients
-        distinct, product = ([c - modulus if c > bound else c for c in x]
-                             for x in (distinct, product))
+        same = product is distinct  # every e is 1
+        distinct = [c - modulus if c > bound else c for c in distinct]
+        product = distinct if same else [c - modulus if c > bound else c for c in product]
     product = UniPoly._exact(field, product).scale(field.div(unit, den))
     return product, UniPoly._exact(field, distinct)
 
 
 def _product_mod(lists: list, modulus: int) -> list:
-    ring = _CyclicRing(modulus, sum(map(len, lists)))  # its slots hold every product's sums
+    # The slots hold every product's sums; a single list needs no ring.
+    ring = _CyclicRing(modulus, sum(map(len, lists))) if len(lists) > 1 else None
     while len(lists) > 1:
         products = map(int.__mul__, map(ring.pack, lists[::2]), map(ring.pack, lists[1::2]))
         sizes = map(int.__add__, map(len, lists[::2]), map(len, lists[1::2]))

@@ -8,9 +8,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cokerlab
 from cokerlab import cli, cohomology, factor, frobenius, matrices
@@ -22,6 +25,7 @@ from cokerlab.cli import (
     UsageError,
     main,
     parse_index_set,
+    render_json,
 )
 from cokerlab.cohomology import Presentation
 from cokerlab.matrices import PolyMatrix
@@ -165,6 +169,65 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frolic"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_output_holds_the_bytes_of_stdout(self, tmp_path, capsysbinary, fmt):
+        argv = ["cohomology", "--d-min", "2", "--d-max", "6", "--format", fmt]
+        assert main(argv) == EXIT_OK
+        expected = capsysbinary.readouterr().out
+        target = tmp_path / "r.out"
+        assert main(argv + ["--output", str(target)]) == EXIT_OK
+        assert capsysbinary.readouterr().out == b""
+        assert target.read_bytes() == expected
+
+
+# Keys and strings mix arbitrary characters with the ones JSON escapes.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t é\U0001f600'),
+                               st.characters()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_TEXT, st.booleans(), st.none(), st.integers(),
+              st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(_JSON_TEXT, children, max_size=4)),
+    max_leaves=30)
+_JSON_PAYLOADS = st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5)
+
+
+class TestJsonRendering:
+    # render_json must write what json.dumps(indent=2, sort_keys=True) writes.
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_PAYLOADS)
+    def test_same_bytes_as_json_dumps(self, payload):
+        parts = render_json(payload)
+        assert all(isinstance(part, str) for part in parts)
+        assert "".join(parts) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_JSON_PAYLOADS, st.sampled_from([1.5, Fraction(1, 2), {1}]),
+           st.integers(0, 5))
+    def test_other_values_raise_type_error(self, payload, bad, depth):
+        # At any depth, in a chunk or joined into one.  json.dumps writes
+        # floats, but no report holds one.
+        nested = bad
+        for _ in range(depth):
+            nested = [nested]
+        payload = {**payload, "\uffff": nested}
+        with pytest.raises(TypeError):
+            render_json(payload)
+        if not isinstance(bad, float):
+            with pytest.raises(TypeError):
+                json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.json")
+                                            if p.name != "at_the_bound_sha256.json"))
+    def test_golden_payloads_render_to_their_bytes(self, name):
+        text = (GOLDEN_DIR / name).read_text()
+        payload = json.loads(text)
+        parts = render_json(payload)
+        assert "".join(parts) == text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # Each member of a record is a chunk of its own.
+        assert len(parts) >= sum(map(len, payload["records"]))
 
 
 class TestVerifyCommand:
@@ -742,6 +805,20 @@ class TestCertificateFailure:
         assert captured.err.startswith("error: certificate check failed:")
 
 
+# Runs python on its arguments and writes the exit code and ru_maxrss (KiB)
+# to stderr.  The measured process is forked from this small one: a process
+# forked from the test runner would keep the runner's RSS as its peak, since
+# exec records the high-water mark of the memory it replaces.
+_PEAK_OF_CHILD = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
 class TestAtTheBound:
     # SHA-256 of each report below, keyed by its argv, so a change to any
     # character of an at-bound report fails the test that runs it.
@@ -812,6 +889,21 @@ class TestAtTheBound:
         self._pinned(argv, out.replace('\n  "seed": 7,\n', '\n  "seed": null,\n'))
         assert self.DIGESTS[" ".join(argv)] == self.DIGESTS[" ".join(argv[:-2])]
 
+    def test_frobenius_json_at_max_n_peaks_under_30_mb(self, tmp_path):
+        # The report is held once, as record chunks; json.dumps's
+        # pure-Python encoder, with indent set, peaked at 46.5 MB here.
+        argv = ["frobenius", "--n-set", f"6..{cli.MAX_N}", "--field", "fp:5"]
+        report = tmp_path / "report.json"
+        with open(report, "wb") as out:
+            result = subprocess.run(
+                [sys.executable, "-c", _PEAK_OF_CHILD, "-m", "cokerlab.cli", *argv],
+                stdout=out, stderr=subprocess.PIPE, text=True, timeout=120, env=CHILD_ENV)
+        code, peak_kib = map(int, result.stderr.split())
+        assert code == EXIT_OK
+        assert peak_kib < 30 * 1024
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[" ".join(argv)]
+
     def test_every_pinned_report_is_run(self):
         runs = {f"verify-lemma1 --max-i {cli.MAX_INDEX} --field {f}" for f in ("q", "fp:101")}
         runs |= {f"factors --set 1..{cli.MAX_INDEX} --field {f}"
@@ -866,6 +958,17 @@ class TestConsoleScript:
                 stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=CHILD_ENV)
         assert result.returncode == EXIT_USAGE
         assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
+    def test_closed_stdout_exits_2_on_one_line(self):
+        # Python sets sys.stdout to None when descriptor 1 is closed at start-up.
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh",
+             sys.executable, "-m", "cokerlab.cli", "verify-lemma1", "--max-i", "2"],
+            stderr=subprocess.PIPE, text=True, timeout=120, env=CHILD_ENV)
+        assert result.returncode == EXIT_USAGE
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: cannot write report to stdout: ")
         assert "Traceback" not in result.stderr
 
     def test_version_flag(self):
