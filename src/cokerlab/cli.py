@@ -446,6 +446,17 @@ def run(config: RunConfig) -> tuple:
     return payload, rendered, (EXIT_OK if ok else EXIT_CHECK_FAILED)
 
 
+def _say(line: str) -> None:
+    """Write one line to stderr, or drop it when stderr cannot take it (as
+    when descriptor 2 is closed), so that stderr never changes the outcome."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+        except OSError:
+            pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -453,15 +464,15 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         payload, rendered, code = run(config)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except ArithmeticError as exc:
-        print(f"error: certificate check failed: {exc}", file=sys.stderr)
+        _say(f"error: certificate check failed: {exc}")
         return EXIT_CHECK_FAILED
     if config.fmt != "text":
         # Text reports already carry their warnings inline.
         for warning in payload.get("warnings", ()):
-            print(f"warning: {warning}", file=sys.stderr)
+            _say(f"warning: {warning}")
     try:
         if config.output is not None:
             _write_report(config.output, rendered)
@@ -471,8 +482,8 @@ def main(argv=None) -> int:
             sys.stdout.writelines(rendered)
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write report to {config.output or 'stdout'}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
+        _say(f"error: cannot write report to {config.output or 'stdout'}: "
+             f"{exc.strerror or exc}")
         return EXIT_USAGE
     return code
 

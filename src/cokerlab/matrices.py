@@ -7,8 +7,8 @@ matrix M from one band of entries s, -(t+s), t.  The continuant (three-term)
 recurrence on binary forms returns every leading principal minor of a
 tridiagonal matrix, and certify_det_b proves det(B_m) = tau_m for every
 m <= n independently of it, from the closed form of adj(B_n) e_1, also on
-forms.  det() is fraction-free (Bareiss); cofactor expansion, adjugate columns
-and square-system membership are kept as structure-blind oracles.
+forms.  det() (a memoized cofactor expansion), adjugate columns and
+square-system membership are kept as structure-blind oracles.
 """
 
 from __future__ import annotations
@@ -178,12 +178,30 @@ def build_m(d: int, field: Field) -> PolyMatrix:
 
 
 def det(m: PolyMatrix) -> MultiPoly:
-    """Exact determinant of a square matrix by fraction-free (Bareiss)
-    elimination; _det_cofactor, which expands along the first row, is kept
-    as an independent oracle for small sizes."""
+    """Exact determinant of a square matrix by cofactor expansion along the
+    first row, memoized on the columns left: the minor on the last k rows is
+    expanded once per set of k columns that its rows reach through nonzero
+    entries.  A band matrix so costs a few products per row, and only a
+    dense matrix costs time exponential in its size."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    return _det_bareiss(m)
+    n, rows, cache = m.rows, m.nonzeros, {}
+
+    def minor(cols: tuple) -> MultiPoly:
+        # The determinant of the last len(cols) rows on the columns cols.
+        if not cols:
+            return MultiPoly.one(m.field)
+        hit = cache.get(cols)
+        if hit is None:
+            hit, row = MultiPoly.zero(m.field), rows[n - len(cols)]
+            for pos, c in enumerate(cols):
+                if c in row:
+                    term = row[c] * minor(cols[:pos] + cols[pos + 1:])
+                    hit = hit - term if pos % 2 else hit + term
+            cache[cols] = hit
+        return hit
+
+    return minor(tuple(range(n)))
 
 
 def continuant(m: PolyMatrix) -> list:
@@ -252,79 +270,6 @@ def certify_det_b(b: PolyMatrix) -> list:
     return w
 
 
-def _det_bareiss(m: PolyMatrix) -> MultiPoly:
-    field = m.field
-    n = m.rows
-    a = [m.row(i) for i in range(n)]
-    zero = MultiPoly.zero(field)
-    sign = 1
-    prev = MultiPoly.one(field)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = a[k][k]
-        row_k = a[k]
-        prev_is_one = prev.is_one()
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            aik_zero = aik.is_zero()
-            for j in range(k + 1, n):
-                aij = row_i[j]
-                akj = row_k[j]
-                if aik_zero or akj.is_zero():
-                    if aij.is_zero():
-                        continue
-                    num = pivot * aij
-                elif aij.is_zero():
-                    num = -(aik * akj)
-                else:
-                    num = pivot * aij - aik * akj
-                if prev_is_one:
-                    row_i[j] = num
-                else:
-                    q = exact_divide(num, prev)
-                    if q is None:
-                        raise ArithmeticError("non-exact division in fraction-free elimination")
-                    row_i[j] = q
-            row_i[k] = zero
-        prev = pivot
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
-
-
-def _det_cofactor(m: PolyMatrix) -> MultiPoly:
-    field = m.field
-    n = m.rows
-    cache: dict = {}
-
-    def minor_det(r: int, cols: tuple) -> MultiPoly:
-        if r == n:
-            return MultiPoly.one(field)
-        key = cols
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        acc = MultiPoly.zero(field)
-        for pos, c in enumerate(cols):
-            entry = m[r, c]
-            if entry.is_zero():
-                continue
-            sub = minor_det(r + 1, cols[:pos] + cols[pos + 1:])
-            contrib = entry * sub
-            acc = acc + contrib if pos % 2 == 0 else acc - contrib
-        cache[key] = acc
-        return acc
-
-    return minor_det(0, tuple(range(n)))
-
-
 def adjugate_column(m: PolyMatrix, j: int) -> list:
     """Column j (0-based) of the adjugate, i.e. adj(m) applied to e_{j+1},
     computed from the row-j cofactors alone."""
@@ -336,7 +281,7 @@ def adjugate_column(m: PolyMatrix, j: int) -> list:
     out = []
     for i in range(n):
         minor = m.without_rows([j]).without_columns([i])
-        c = _det_bareiss(minor)
+        c = det(minor)
         out.append(c if (i + j) % 2 == 0 else -c)
     return out
 
@@ -379,12 +324,12 @@ def solve_square(b: PolyMatrix, v: Sequence[MultiPoly]) -> MembershipCertificate
         raise ValueError("solve_square requires a square matrix")
     if len(v) != b.rows:
         raise ValueError("right-hand side has wrong length")
-    d = _det_bareiss(b)
+    d = det(b)
     if d.is_zero():
         raise ValueError("solve_square requires det != 0")
     w = []
     for i in range(b.cols):
-        numerator = _det_bareiss(b.replace_column(i, v))
+        numerator = det(b.replace_column(i, v))
         q = exact_divide(numerator, d)
         if q is None:
             return MembershipCertificate(failed_column=i + 1)

@@ -5,10 +5,35 @@ tests import this module by name from their own directory.
 """
 
 from cokerlab import factor
-from cokerlab.arith import Field, Form, UniPoly, gcd_univariate
+from cokerlab.arith import Field, Form, MultiPoly, UniPoly, gcd_univariate
 
 # squarefree_by_gcd's modular pre-test prime; built once, as Field.prime trial-divides.
 CHECK_FIELD = Field.prime(1_000_003)
+
+
+def det_by_permutations(m) -> MultiPoly:
+    """Leibniz's formula for a square PolyMatrix: the sum over permutations p
+    of sign(p) * m[0, p(0)] * ... * m[n-1, p(n-1)], with nothing memoized, so
+    it shares only the ring arithmetic with matrices.det.  The permutations
+    are walked row by row, and one is skipped at its first zero entry."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("determinant of a non-square matrix")
+    rows = [m.row(r) for r in range(n)]
+    terms = []
+
+    def extend(r, used, odd, product):
+        if r == n:
+            terms.append(-product if odd else product)
+            return
+        for c, entry in enumerate(rows[r]):
+            if c not in used and not entry.is_zero():
+                # Each column already used to the right of c is one inversion.
+                flips = sum(u > c for u in used)
+                extend(r + 1, used | {c}, (odd + flips) % 2, product * entry)
+
+    extend(0, frozenset(), 0, MultiPoly.one(m.field))
+    return sum(terms, MultiPoly.zero(m.field))
 
 
 def rabin_by_frobenius_matrix(g: UniPoly) -> bool:

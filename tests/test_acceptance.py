@@ -9,7 +9,6 @@ import json
 import time
 from pathlib import Path
 
-from cokerlab import matrices
 from cokerlab.arith import (
     Field,
     MultiPoly,
@@ -34,6 +33,7 @@ from cokerlab.factor import (
 )
 from cokerlab.frobenius import component_t, witness_growth
 from cokerlab.matrices import adjugate_column, build_a, build_b, det, solve_square
+from oracles import det_by_permutations
 
 Q = Field.rationals()
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -53,9 +53,9 @@ def test_criterion_01_determinant_identity():
             assert det(build_b(i, field)) == tau(i, field).to_multipoly()
         for i in range(1, 9):
             b = build_b(i, field)
-            assert det(b) == matrices._det_cofactor(b)
+            assert det(b) == det_by_permutations(b)
     elapsed = time.monotonic() - start
-    assert elapsed < 60.0
+    assert elapsed < 10.0
     _report(1, f"det(B_i) = tau_i, i <= 30, six fields, {elapsed:.1f}s")
 
 

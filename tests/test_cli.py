@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cokerlab
@@ -179,6 +180,113 @@ class TestExitCodes:
         assert main(argv + ["--output", str(target)]) == EXIT_OK
         assert capsysbinary.readouterr().out == b""
         assert target.read_bytes() == expected
+
+
+# The argument grammar of the CLI contract.  Each strategy draws an option's
+# text with the indices it denotes, or None when the CLI must reject it.
+# Options are passed as --name=value, so that a value such as -1 reaches the
+# CLI's own checks, whose errors take one stderr line, and not argparse's,
+# whose usage message takes several.
+_FIELDS = st.one_of(
+    st.sampled_from(["q", "fp:2", "fp:7", "FP:5", "fp:101"]).map(lambda spec: (spec, True)),
+    st.sampled_from(["fp:6", "fp:1", "fp:", "gf:7", ""]).map(lambda spec: (spec, False)))
+_MALFORMED_PIECES = ("", " ", "x", "1..", "..2", "1..2..3", "1.5", "1;2")
+
+
+@st.composite
+def _set_expression(draw, low, high):
+    # One to three pieces: integers and ranges of at most four indices near
+    # either bound, spelled as int() reads them, plus pieces outside
+    # low..high, descending ranges and malformed text.
+    pieces, indices, valid = [], {}, True
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["integer", "range"] * 3
+                                    + ["outside", "descending", "malformed"]))
+        lo = draw(st.one_of(st.integers(low, low + 8), st.sampled_from([high - 1, high])))
+        hi = min(lo + draw(st.integers(0, 3)), high)
+        spell = draw(st.sampled_from(["{}", "+{}", " {} ", "0{}"])).format
+        if kind == "integer":
+            pieces.append(spell(lo))
+            indices[lo] = None
+        elif kind == "range":
+            pieces.append(f"{spell(lo)}..{spell(hi)}")
+            indices.update(dict.fromkeys(range(lo, hi + 1)))
+        else:
+            valid = False
+            pieces.append({"outside": f"{low - 1}..{hi}" if lo == low else str(high + 1),
+                           "descending": f"{lo + 1}..{lo}",
+                           "malformed": draw(st.sampled_from(_MALFORMED_PIECES))}[kind])
+    return ",".join(pieces), list(indices) if valid else None
+
+
+def _in_range(ok, low, high):
+    # The indices low..high, or None when the CLI must reject them.
+    return list(range(low, high + 1)) if ok and low <= high else None
+
+
+@st.composite
+def _command_options(draw):
+    # A subcommand, its own options, and the indices its report must list.
+    command = draw(st.sampled_from(["verify-lemma1", "factors", "cohomology", "frobenius"]))
+    if command in ("factors", "frobenius"):
+        low, high = (1, cli.MAX_INDEX) if command == "factors" else (6, cli.MAX_N)
+        text, indices = draw(_set_expression(low, high))
+        return command, [f"--{'set' if command == 'factors' else 'n-set'}={text}"], indices
+    if command == "verify-lemma1":
+        max_i = draw(st.one_of(st.integers(-1, 6), st.sampled_from([199, 200, 201])))
+        return command, [f"--max-i={max_i}"], _in_range(max_i <= cli.MAX_INDEX, 1, max_i)
+    d_min = draw(st.one_of(st.integers(1, 7), st.sampled_from([99, 100])))
+    d_max = d_min + draw(st.integers(-1, 3))
+    return (command, [f"--d-min={d_min}", f"--d-max={d_max}"],
+            _in_range(d_min >= 2 and d_max <= cli.MAX_D, d_min, d_max))
+
+
+def _reported_indices(command, fmt, report):
+    # The i, d or n of each record, read back from the report's own format.
+    text = report.decode()
+    if fmt == "json":
+        payload = json.loads(text)
+        records = payload.get("results") or (payload.get("growth") or payload)["records"]
+        key = {"verify-lemma1": "i", "factors": "index", "cohomology": "d", "frobenius": "n"}
+        return [r[key[command]] for r in records]
+    if fmt == "csv":
+        return [int(line.split(",")[0]) for line in text.splitlines()[1:]]
+    return [int(m[1]) for m in map(re.compile(r"[idn]=(\d+)").match, text.splitlines()) if m]
+
+
+class TestCliContract:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_command_options(), _FIELDS, st.sampled_from(["json", "csv", "text"]),
+           st.sampled_from([[], ["--seed=0"], ["--seed=-3"], ["--seed=12345"]]),
+           st.booleans())
+    def test_exit_codes_stderr_and_reports(self, tmp_path, capsysbinary, options, field,
+                                           fmt, seed, to_file):
+        command, command_options, indices = options
+        spec, field_ok = field
+        argv = [command, *command_options, f"--field={spec}", f"--format={fmt}", *seed]
+        accepted = indices is not None and field_ok
+        code = main(argv)
+        out, err = capsysbinary.readouterr()
+        err = err.decode()
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE)
+        assert "Traceback" not in err
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        if code == EXIT_USAGE:
+            assert out == b""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert all(line.startswith("warning: ") for line in err.splitlines())
+            assert _reported_indices(command, fmt, out) == indices
+        if to_file:
+            target = tmp_path / "report.out"
+            assert main(argv + [f"--output={target}"]) == code
+            assert capsysbinary.readouterr().out == b""
+            if code == EXIT_USAGE:
+                assert not target.exists()
+            else:
+                assert target.read_bytes() == out
+                target.unlink()
 
 
 # Keys and strings mix arbitrary characters with the ones JSON escapes.
@@ -459,28 +567,29 @@ def _count_bindings(monkeypatch, name) -> list:
 class TestComputedOnce:
     def test_one_factorization_per_d_and_one_determinant_per_n(self, monkeypatch, capsys):
         # The runners call factor_tau through the cli binding, and
-        # accumulate_distinct through the factor module's; det,
-        # adjugate_column and solve_square all eliminate through the matrices
-        # module's global, so these count every call whichever binding starts it.
+        # accumulate_distinct through the factor module's; adjugate_column
+        # and solve_square take their determinants through the matrices
+        # module's global det, so these count every call whichever binding
+        # starts it.
         factorizations = _count_calls(monkeypatch, factor, "factor_tau")
         cli_factorizations = _count_calls(monkeypatch, cli, "factor_tau")
-        eliminations = _count_calls(monkeypatch, matrices, "_det_bareiss")
+        det_calls = _count_bindings(monkeypatch, "det")
         assert main(["cohomology", "--d-min", "2", "--d-max", "6"]) == EXIT_OK
         q = Field.rationals()
         assert [tau(*args) for args in factorizations + cli_factorizations] \
             == [tau(d - 1, q) for d in range(2, 7)]
-        # The torsion certificate is written down, not eliminated for.
-        assert eliminations == []
+        # The torsion certificate is written down, not expanded for.
+        assert det_calls == []
         # frobenius takes no determinant: it compares each collapsed matrix
         # with a leading block of the one B it certifies.
         determinants = _count_bindings(monkeypatch, "continuant")
         assert main(["frobenius", "--n-set", "6,8"]) == EXIT_OK
-        assert eliminations == []
+        assert det_calls == []
         assert determinants == []
         # verify-lemma1 makes one continuant pass, over the leading minors of B_6.
         determinants = _count_calls(monkeypatch, cli, "continuant")
         assert main(["verify-lemma1", "--max-i", "6"]) == EXIT_OK
-        assert eliminations == []
+        assert det_calls == []
         assert [args[0].rows for args in determinants] == [6]
 
     # Each command builds and certifies its largest B once: the B of every
@@ -970,6 +1079,21 @@ class TestConsoleScript:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: cannot write report to stdout: ")
         assert "Traceback" not in result.stderr
+
+    def test_closed_stderr_changes_no_outcome(self):
+        # A warning or an error line that stderr cannot take is dropped.
+        def run_with(redirect, *argv):
+            return subprocess.run(
+                ["sh", "-c", f'exec "$@" {redirect}', "sh",
+                 sys.executable, "-m", "cokerlab.cli", *argv],
+                stdout=subprocess.PIPE, timeout=120, env=CHILD_ENV)
+
+        warned = ("factors", "--set", "1..3", "--field", "fp:7")
+        closed, plain = run_with("2>&-", *warned), run_with("2>/dev/null", *warned)
+        assert (closed.returncode, plain.returncode) == (EXIT_OK, EXIT_OK)
+        assert closed.stdout == plain.stdout and plain.stdout
+        rejected = run_with("2>&-", "verify-lemma1", "--max-i", "0")
+        assert (rejected.returncode, rejected.stdout) == (EXIT_USAGE, b"")
 
     def test_version_flag(self):
         result = subprocess.run(

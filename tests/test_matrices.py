@@ -18,6 +18,7 @@ from cokerlab.matrices import (
     det,
     solve_square,
 )
+from oracles import det_by_permutations
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -107,7 +108,7 @@ class TestDeterminant:
         assert det(build_b(2, Q)) == qp("t^2+s*t+s^2")
 
     def test_cofactor_oracle_and_recurrence(self):
-        d3 = matrices._det_cofactor(build_b(3, Q))
+        d3 = det_by_permutations(build_b(3, Q))
         assert d3 == qp("-t^3-s*t^2-s^2*t-s^3")
         d1, d2 = det(build_b(1, Q)), det(build_b(2, Q))
         assert d3 == qp("-t-s") * d2 - qp("s*t") * d1
@@ -124,6 +125,18 @@ class TestDeterminant:
         for i in range(1, 31):
             assert det(build_b(i, field)) == tau(i, field).to_multipoly()
 
+    @pytest.mark.parametrize("field", [Q, F2], ids=["q", "fp2"])
+    def test_a_wrong_b_or_a_wrong_tau_is_told_apart(self, field):
+        # Mutation check: B_i with s added to one diagonal entry has
+        # determinant tau_i + s * tau_k * tau_(i-1-k) != tau_i, and tau_i with
+        # its t^i coefficient raised by one is not det(B_i).  A det that
+        # returned tau_n, or a comparison that always held, fails here.
+        s, t = MultiPoly.variable(field, "s"), MultiPoly.variable(field, "t")
+        for i in range(1, 31):
+            b, tau_i, k = build_b(i, field), tau(i, field).to_multipoly(), i // 2
+            assert det(_with_entry(b, k, k, b[k, k] + s)) != tau_i
+            assert det(b) != tau_i + t ** i
+
     def test_recurrence_full_range(self):
         dets = {i: det(build_b(i, Q)) for i in range(1, 31)}
         st = qp("s*t")
@@ -134,19 +147,19 @@ class TestDeterminant:
         for field in (Q, F5):
             for i in range(1, 9):
                 b = build_b(i, field)
-                assert det(b) == matrices._det_cofactor(b)
+                assert det(b) == det_by_permutations(b)
 
     def test_methods_agree_on_random(self):
         rng = random.Random(97)
         for field in (Q, F5):
             for n in range(1, 6):
                 m = _random_matrix(rng, field, n)
-                assert det(m) == matrices._det_cofactor(m)
+                assert det(m) == det_by_permutations(m)
 
     def test_singular_matrix(self):
         m = qmat([["t", "t"], ["s", "s"]])
         assert det(m).is_zero()
-        assert matrices._det_cofactor(m).is_zero()
+        assert det_by_permutations(m).is_zero()
 
     def test_zero_pivot_swap(self):
         m = qmat([["0", "t"], ["s", "0"]])
@@ -185,7 +198,7 @@ class TestContinuant:
         # Every leading principal minor, not only the determinant.
         minors = [d.to_multipoly() for d in continuant(m)]
         assert minors == [det(_block(m, 0, k)) for k in range(1, m.rows + 1)]
-        assert minors[-1] == matrices._det_cofactor(m)
+        assert minors[-1] == det_by_permutations(m)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
