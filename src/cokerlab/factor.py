@@ -18,8 +18,9 @@ way to build a report runs these checks, so its users need not divide again.
 Other inputs go through the generic engines, which the tests use as oracles:
 exact cyclotomic trial division over Q, and over a prime field squarefree
 decomposition, distinct-degree splitting, then randomized equal-degree
-splitting with an optional seed.  Factor lists are sorted canonically, so
-reports do not depend on the random path taken.
+splitting with an optional seed, on plain UniPoly arithmetic and no packed
+ring.  Factor lists are sorted canonically, so reports do not depend on the
+random path taken.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .arith import Field, Form, UniPoly, _record, _require_same_field, gcd_univariate, sigma, tau
 
@@ -60,9 +61,11 @@ class FactorReport(_record("FactorReport", "input unit factors")):
         for poly, mult in self.factors:
             if mult < 1:
                 raise ValueError("factor multiplicities must be >= 1")
-            if not _is_canonical_factor(poly):
-                raise ValueError(f"factor {poly} is not canonically normalized")
             u = poly.u if homogeneous else poly
+            # Monic over a prime field; over Q a positive leading coefficient in
+            # the term order, where a form leads with its highest power of t.
+            if not (u.lc > 0 if u.field.is_rationals else u.lc == 1):
+                raise ValueError(f"factor {poly} is not canonically normalized")
             _require_same_field(field, u.field)
             pairs.append((u, mult))
             if homogeneous:
@@ -130,16 +133,6 @@ def _is_squarefree(f: UniPoly) -> bool:
         if big > 0 and (p == 0 or big % p) and (binomial % f).is_zero():
             return True
     return gcd_univariate(f, f.derivative()).is_one()
-
-
-def _is_canonical_factor(poly: Union[Form, UniPoly]) -> bool:
-    # Monic over a prime field; over Q a positive leading coefficient in the
-    # term order, where a form leads with its highest power of t.
-    field = poly.field
-    lead = poly.u.lc if isinstance(poly, Form) else poly.lc
-    if field.is_rationals:
-        return lead > 0
-    return lead == field.one
 
 
 class GrowthReport(_record("GrowthReport",
@@ -263,13 +256,13 @@ def _cyclotomic_trial_division(w: UniPoly) -> list:
 
 
 class _CyclicRing:
-    """F_p[x]/(x^n - 1) on canonical coefficient lists (ascending, length n)
-    packed into ints by Kronecker substitution (Harvey, J. Symbolic Comput.
-    44, 2009).  A slot of 2*bitlen(p) + bitlen(n) + 1 bits holds a sum of
-    2n - 1 products of residues, so a product is one big-int multiply, and
-    as x^n = 1 it is reduced by adding its high slots onto its low ones;
-    slots of 1, 2, 4 or 8 bytes pack through struct.  p need not be prime:
-    _reassemble packs residues mod any M."""
+    """The one packed ring: F_p[x]/(x^n - 1) on canonical coefficient lists
+    (ascending, length n) packed into ints by Kronecker substitution (Harvey,
+    J. Symbolic Comput. 44, 2009).  A slot of 2*bitlen(p) + bitlen(n) + 1
+    bits holds a sum of 2n - 1 products of residues, so a product is one
+    big-int multiply, and as x^n = 1 it is reduced by adding its high slots
+    onto its low ones; slots of 1, 2, 4 or 8 bytes pack through struct.  Only
+    the split and _reassemble use it, the latter mod an M that need not be prime."""
 
     def __init__(self, p: int, n: int):
         bits = 2 * p.bit_length() + n.bit_length() + 1
@@ -316,57 +309,6 @@ class _CyclicRing:
         return self.unpack(result, self.n)
 
 
-class _ModRing(_CyclicRing):
-    """F_p[t]/(f) for a monic f of degree n, for the generic engines: the
-    packing of _CyclicRing, with a product reduced on a table of the packed
-    x^j mod f, and f's Frobenius matrix."""
-
-    def __init__(self, f: UniPoly):
-        super().__init__(f.field.p, f.degree())
-        p, n, self.f = self.p, self.n, f
-        # table[j - n] = x^j mod f for n <= j <= 2n - 2, from x^n = -(f - x^n).
-        low = [-c % p for c in f.coeffs[:n]]
-        row, self.table = low, []
-        for _ in range(n - 1):
-            self.table.append(self.pack(row))
-            row = [(a + row[-1] * b) % p for a, b in zip([0] + row, low)]
-
-    def dot(self, low: int, coeffs: list, rows: list) -> list:
-        """unpack(low + sum c_j * rows_j): reduction mod f on the table, and
-        the Frobenius map h^p = sum h_j x^(p*j) on the Frobenius rows."""
-        return self.unpack(low + sum(c * row for c, row in zip(coeffs, rows) if c), self.n)
-
-    def reduce(self, product: int) -> list:  # a packed product of two elements
-        split = 8 * self.size * self.n
-        return self.dot(product & ((1 << split) - 1),
-                        self.unpack(product >> split, self.n - 1), self.table)
-
-    def elem(self, u: UniPoly) -> list:
-        return list((u % self.f).coeffs + (0,) * self.n)[:self.n]
-
-    def frobenius_rows(self) -> list:
-        """f's Frobenius (Berlekamp Q-) matrix: packed rows x^(p*j) mod f, j < n."""
-        xp = self.pack(self.pow(self.elem(UniPoly.gen(self.f.field)), self.p))
-        rows = [1]  # x^0
-        for _ in range(self.n - 1):
-            rows.append(self.pack(self.reduce(rows[-1] * xp)))
-        return rows
-
-    def conjugate_fold(self, r: list, k: int, rows: list, combine) -> list:
-        """r combined with r^p, ..., r^(p^(k-1)) by an associative, commutative
-        combine in O(log k) combines: S_2j = combine(S_j, S_j^(p^j)) and
-        S_(j+1) = combine(r, S_j^p), with S_j the fold of the first j terms."""
-        acc, j = r, 1
-        for bit in bin(k)[3:]:
-            shifted = acc
-            for _ in range(j):
-                shifted = self.dot(0, shifted, rows)
-            acc, j = combine(acc, shifted), 2 * j
-            if bit == "1":
-                acc, j = combine(r, self.dot(0, acc, rows)), j + 1
-        return acc
-
-
 def _squarefree_parts(f: UniPoly) -> list:
     """Yun-style decomposition of a monic f into (squarefree part, multiplicity)."""
     p = f.field.p
@@ -395,18 +337,27 @@ def _squarefree_parts(f: UniPoly) -> list:
         n *= p
 
 
+def _pow_mod(a: UniPoly, e: int, f: UniPoly) -> UniPoly:
+    """a^e mod f for e >= 1, by square and multiply."""
+    result = a = a % f
+    for bit in bin(e)[3:]:
+        result = result * result % f
+        if bit == "1":
+            result = result * a % f
+    return result
+
+
 def _distinct_degree(f: UniPoly) -> list:
     """Split a monic squarefree f into (product of degree-k irreducibles, k)."""
     p, x, result = f.field.p, UniPoly.gen(f.field), []
-    g, ring, h, k = f, _ModRing(f), x, 0
+    g, h, k = f, x, 0
     while g.degree() >= 2 * (k + 1):
         k += 1
-        h = UniPoly._exact(f.field, ring.pow(ring.elem(h), p))
+        h = _pow_mod(h, p, g)
         d = gcd_univariate(g, h - x)
         if not d.is_one():
             result.append((d, k))
             g = g.exact_quotient(d)
-            ring, h = _ModRing(g), h % g
     if not g.is_one():
         result.append((g, g.degree()))
     return result
@@ -416,34 +367,48 @@ def _random_poly(rng: random.Random, field: Field, degree: int) -> list:
     return [rng.randrange(field.p) for _ in range(degree + 1)]
 
 
-def _splitter(ring: _ModRing, r: list, field: Field) -> UniPoly:
-    # For r in F_p at each factor: r^((p-1)/2) - 1, or r for p = 2, which
-    # vanishes at about half of the factors.
-    if field.p > 2:
-        r = ring.pow(r, (field.p - 1) // 2)
-        r[0] -= 1
-    return UniPoly._exact(field, r)
+def _frobenius_rows(f: UniPoly) -> list:
+    """f's Frobenius (Berlekamp Q-) matrix: the rows x^(p*j) mod f, j < deg f,
+    so that h^p = sum h_j x^(p*j) mod f."""
+    xp = _pow_mod(UniPoly.gen(f.field), f.field.p, f)
+    rows = [UniPoly.one(f.field)]
+    for _ in range(f.degree() - 1):
+        rows.append(rows[-1] * xp % f)
+    return rows
 
 
 def _equal_degree(f: UniPoly, k: int, rng: random.Random) -> list:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-k
-    irreducibles: a random r is taken into F_p at each factor by its norm
-    r * r^p * ... * r^(p^(k-1)), or for p = 2 its trace r + r^2 + ... +
-    r^(2^(k-1)), each r^(p^j) a vector-matrix product with f's Frobenius
-    matrix (von zur Gathen and Shoup, 1992); each trial splits every part
-    not yet of degree k by its gcd with the _splitter of r."""
-    field, n, parts = f.field, f.degree(), [f]
+    irreducibles: a random r is taken into F_p at each factor by its norm h,
+    the product of the r^(p^j) for j < k, or for p = 2 its trace h, their
+    sum, each r^(p^j) read off f's Frobenius matrix (von zur Gathen and
+    Shoup, 1992).  Each trial splits every part not yet of degree k by its
+    gcd with h^((p-1)/2) - 1, or h for p = 2, the power taken mod the part."""
+    field, n, parts, half = f.field, f.degree(), [f], (f.field.p - 1) // 2
     if n == k:
         return parts
-    ring = _ModRing(f)
-    rows = ring.frobenius_rows() if k > 1 else None
-    combine = ring.mul if field.p > 2 else lambda a, b: [u ^ v for u, v in zip(a, b)]
+    # The matrix's columns, so that each coefficient of h^p is one dot product.
+    columns = list(zip(*(row.coeffs + (0,) * (n - len(row.coeffs))
+                         for row in _frobenius_rows(f)))) if k > 1 else []
+    combine = (lambda a, b: a * b % f) if half else UniPoly.__add__
+
+    def conjugate(h: UniPoly, j: int) -> UniPoly:  # h^(p^j)
+        for _ in range(j):
+            h = UniPoly._exact(field, [sum(map(int.__mul__, h.coeffs, c)) for c in columns])
+        return h
+
     for _ in range(_EDF_MAX_TRIES):
-        h = _splitter(ring, ring.conjugate_fold(
-            _random_poly(rng, field, n - 1), k, rows, combine), field)
+        # h folds the first j conjugates of r: S_2j = S_j S_j^(p^j), S_(j+1) = r S_j^p.
+        r = h = UniPoly._exact(field, _random_poly(rng, field, n - 1))
+        j = 1
+        for bit in bin(k)[3:]:
+            h, j = combine(h, conjugate(h, j)), 2 * j
+            if bit == "1":
+                h, j = combine(r, conjugate(h, 1)), j + 1
         refined = []
         for part in parts:
-            g = gcd_univariate(part, h) if part.degree() > k else part
+            g = (gcd_univariate(part, _pow_mod(h, half, part) - 1 if half else h)
+                 if part.degree() > k else part)
             refined += [g, part.exact_quotient(g)] if 0 < g.degree() < part.degree() else [part]
         parts = refined
         if all(part.degree() == k for part in parts):
@@ -465,9 +430,12 @@ def _split_fixed(f: UniPoly, m: int, rng: random.Random) -> list:
         return [f]
     ring = _CyclicRing(field.p, m)
     for _ in range(_EDF_MAX_TRIES):
-        # Each trial draws one residue per orbit.
+        # One residue per orbit; r^((p-1)/2) - 1, or r for p = 2, splits about half.
         r = list(map(_random_poly(rng, field, len(leaders) - 1).__getitem__, orbit))
-        g = gcd_univariate(part, _splitter(ring, r, field))
+        if field.p > 2:
+            r = ring.pow(r, (field.p - 1) // 2)
+            r[0] -= 1
+        g = gcd_univariate(part, UniPoly._exact(field, r))
         if 0 < g.degree() < part.degree():
             if f.degree() == 2 * k:
                 return [g, f.exact_quotient(g)]

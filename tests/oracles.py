@@ -39,18 +39,28 @@ def det_by_permutations(m) -> MultiPoly:
 def rabin_by_frobenius_matrix(g: UniPoly) -> bool:
     """Rabin's test for a monic g of degree k >= 1 over F_p: g is irreducible
     iff x^(p^k) = x mod g and gcd(x^(p^(k/r)) - x, g) = 1 for every prime r
-    dividing k (Rabin, SIAM J. Comput. 9, 1980).  The Frobenius matrix is
-    built here from g's own x^p mod g, so a split never certifies itself."""
-    k, t = g.degree(), UniPoly.gen(g.field)
+    dividing k (Rabin, SIAM J. Comput. 9, 1980).  The Frobenius matrix, rows
+    x^(p*j) mod g for j < k, is built here from g's own x^p mod g by UniPoly
+    products, so a split never certifies itself."""
+    field, k, t = g.field, g.degree(), UniPoly.gen(g.field)
     if k == 1:  # irreducible by definition; the test would only check a^p = a
         return True
-    ring = factor._ModRing(g)
-    rows, x = ring.frobenius_rows(), ring.elem(t)
-    powers = [x]  # x^(p^j) mod g
+    xp, square, e = UniPoly.one(field), t, field.p
+    while e:  # x^p mod g, right to left over the bits of p
+        if e & 1:
+            xp = xp * square % g
+        square, e = square * square % g, e >> 1
+    rows = [UniPoly.one(field)]
+    for _ in range(k - 1):
+        rows.append(rows[-1] * xp % g)
+    # h^p = sum h_i x^(p*i): its coefficient c is h dotted with column c.
+    columns = list(zip(*(row.coeffs + (0,) * (k - len(row.coeffs)) for row in rows)))
+    powers = [t]  # x^(p^j) mod g
     for _ in range(k):
-        powers.append(ring.dot(0, powers[-1], rows))
-    return powers[k] == x and all(gcd_univariate(UniPoly._exact(g.field, powers[k // r]) - t,
-                                                 g).is_one() for r in factor._prime_divisors(k))
+        h = powers[-1].coeffs
+        powers.append(UniPoly(field, [sum(map(int.__mul__, h, column)) for column in columns]))
+    return powers[k] == t and all(gcd_univariate(powers[k // r] - t, g).is_one()
+                                  for r in factor._prime_divisors(k))
 
 
 def check_factor_report(report_input, unit, factors) -> None:
@@ -66,9 +76,11 @@ def check_factor_report(report_input, unit, factors) -> None:
     for poly, mult in factors:
         if mult < 1:
             raise ValueError("factor multiplicities must be >= 1")
-        if not factor._is_canonical_factor(poly):
-            raise ValueError(f"factor {poly} is not canonically normalized")
         u = poly.u if homogeneous else poly
+        # Monic over F_p; over Q a positive leading coefficient, where a form
+        # leads with its highest power of t, the leading coefficient of u.
+        if not (u.lc > 0 if field.is_rationals else u.lc == 1):
+            raise ValueError(f"factor {poly} is not canonically normalized")
         distinct = distinct * u
         if mult > 1:
             product = product * u ** (mult - 1)

@@ -649,14 +649,21 @@ class TestComputedOnce:
         assert len(split) == len(set(split)) == len(cyclotomics)
 
 
-    def test_frobenius_factors_by_the_certified_route(self, monkeypatch, capsys):
-        # Every collapsed determinant is tau_(n-2), so its F_p factors come
-        # from factor_tau's Rabin-proven splits, not the generic engine.
+    @pytest.mark.parametrize("argv", [
+        ["frobenius", "--n-set", "6..12", "--field", "fp:5"],
+        ["factors", "--set", "1..40", "--field", "fp:101"],
+        ["cohomology", "--d-min", "2", "--d-max", "12", "--field", "fp:7"],
+    ], ids=["frobenius", "factors", "cohomology"])
+    def test_frobenius_factors_by_the_certified_route(self, monkeypatch, capsys, argv):
+        # Every factored tau_i, a collapsed determinant included, takes its
+        # F_p factors from factor_tau's Rabin-proven splits: the generic
+        # engine, the slower oracle, never runs on a CLI path.
         factor._split_cyclotomic.cache_clear()
-        generic = _count_calls(monkeypatch, factor, "_distinct_degree")
+        generic = [_count_calls(monkeypatch, factor, name)
+                   for name in ("_squarefree_parts", "_distinct_degree", "_equal_degree")]
         proofs = _count_calls(monkeypatch, factor, "_is_irreducible")
-        assert main(["frobenius", "--n-set", "6..12", "--field", "fp:5"]) == EXIT_OK
-        assert generic == []
+        assert main(argv) == EXIT_OK
+        assert generic == [[], [], []]
         assert proofs
 
     @pytest.mark.parametrize("argv", [

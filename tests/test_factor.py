@@ -301,21 +301,15 @@ class TestFactorTau:
             assert t_i.u.degree() == i
 
 
-def _record_rings(monkeypatch):
-    # Lists every f that factor._ModRing is built on, and ("rows", f) for
-    # every frobenius_rows call.
-    built = []
+def _record_frobenius_rows(monkeypatch):
+    # Lists every f that factor._frobenius_rows builds a Frobenius matrix for.
+    built, original = [], factor._frobenius_rows
 
-    class Recording(factor._ModRing):
-        def __init__(self, f):
-            super().__init__(f)
-            built.append(f)
+    def recording(f):
+        built.append(f)
+        return original(f)
 
-        def frobenius_rows(self):
-            built.append(("rows", self.f))
-            return super().frobenius_rows()
-
-    monkeypatch.setattr(factor, "_ModRing", Recording)
+    monkeypatch.setattr(factor, "_frobenius_rows", recording)
     return built
 
 
@@ -421,11 +415,11 @@ class TestRabin:
 
     def test_builds_its_own_frobenius_data(self, monkeypatch, fresh_splits):
         # Rabin's test takes g and m alone.  It proves g | x^m - 1 itself and
-        # reads each x^(p^j) mod g off x^m = 1, so it calls no splitter and
-        # builds no ring, no power and no Frobenius matrix.
+        # reads each x^(p^j) mod g off x^m = 1, so it calls no split and
+        # takes no power and no Frobenius matrix.
         assert list(inspect.signature(_is_irreducible).parameters) == ["g", "m"]
         factors = factor._split_cyclotomic(77, Field.prime(101), None)
-        built = _record_rings(monkeypatch)
+        built = _record_frobenius_rows(monkeypatch)
 
         def no_call(*args):
             raise AssertionError("Rabin's test called a splitter or a power")
@@ -440,14 +434,15 @@ class TestRabin:
 
     def test_split_builds_rings_only_in_rabin(self, monkeypatch, fresh_splits):
         # Mod 101, Phi_77 is two factors of degree 30.  Neither its split nor
-        # the Rabin tests of its factors take a table, a Frobenius matrix or
-        # a conjugate fold: no _ModRing is built at all.
-        built = _record_rings(monkeypatch)
+        # the Rabin tests of its factors run the generic engine or take a
+        # Frobenius matrix.
+        built = _record_frobenius_rows(monkeypatch)
 
-        def no_fold(*args):
-            raise AssertionError("the split took a conjugate fold")
+        def no_call(*args):
+            raise AssertionError("the split ran the generic engine")
 
-        monkeypatch.setattr(factor._ModRing, "conjugate_fold", no_fold)
+        for name in ("_distinct_degree", "_equal_degree"):
+            monkeypatch.setattr(factor, name, no_call)
         factors = factor._split_cyclotomic(77, Field.prime(101), None)
         assert [g.degree() for g in factors] == [30, 30]
         assert built == []
@@ -455,7 +450,7 @@ class TestRabin:
     @pytest.mark.parametrize("p", [2, 101, BIG_PRIME])
     def test_linear_factors_need_no_ring(self, monkeypatch, p):
         # t - a divides x^m - 1 for m the order of a != 0; t divides none.
-        built = _record_rings(monkeypatch)
+        built = _record_frobenius_rows(monkeypatch)
         t = UniPoly.gen(Field.prime(p))
         for a in {1, p // 2, p - 1}:
             m = next(k for k in range(1, 101) if pow(a, k, p) == 1)
@@ -549,7 +544,7 @@ class TestEqualDegree:
         if known is not None:
             assert list(outputs.pop()) == known
 
-    def test_a_splitter_that_never_splits_fails(self, monkeypatch):
+    def test_an_equal_degree_split_that_never_splits_fails(self, monkeypatch):
         # A constant r gives h = c^((p-1)/2) - 1, a constant, on every factor.
         field = Field.prime(101)
         monkeypatch.setattr(factor, "_random_poly",
@@ -568,16 +563,35 @@ class TestEqualDegree:
             factor._split_fixed(UniPoly(field, cyclotomic(m).coeffs), m, random.Random(0))
 
     # Mod 101, Phi_77 is two factors of degree 30, Phi_37 six of degree 6,
-    # and Phi_100 forty linear factors.
+    # and Phi_100 forty linear factors, whose split needs no Frobenius matrix.
     @pytest.mark.parametrize("m, k, rows", [(77, 30, 1), (37, 6, 1), (100, 1, 0)])
     def test_one_ring_per_block(self, monkeypatch, m, k, rows):
         field = Field.prime(101)
         assert _order(101, m) == k
         phi = UniPoly(field, cyclotomic(m).coeffs)
-        built = _record_rings(monkeypatch)
+        built = _record_frobenius_rows(monkeypatch)
         parts = factor._equal_degree(phi, k, random.Random(0))
         assert len(parts) == phi.degree() // k
-        assert built == [phi] + [("rows", phi)] * rows
+        assert built == [phi] * rows
+
+    def test_the_oracles_share_no_packed_kernel(self, monkeypatch):
+        # The generic engine and the Frobenius-matrix oracle check the split,
+        # so neither may run on the packed ring that the split runs on.
+        def no_call(*args):
+            raise AssertionError("an oracle ran on the packed ring")
+
+        for name in ("pack", "unpack", "mul", "reduce", "pow"):
+            monkeypatch.setattr(factor._CyclicRing, name, no_call)
+        inputs = [UniPoly(Field.prime(p), cyclotomic(m).coeffs)
+                  for p, m in ((101, 77), (BIG_PRIME, 21))] + [sigma(8, F3)]
+        for f in inputs:
+            product = UniPoly.one(f.field)
+            for part, mult in factor._squarefree_parts(f):
+                for block, k in factor._distinct_degree(part):
+                    for g in factor._equal_degree(block, k, random.Random(0)):
+                        assert g.degree() == k and rabin_by_frobenius_matrix(g)
+                        product = product * g ** mult
+            assert product == f
 
 
 CONJUGATE_PRIMES = (2, 3, 5, 7, 101, BIG_PRIME)
@@ -665,34 +679,20 @@ class TestConjugateSplit:
 KERNEL_PRIMES = (2, 3, 101, BIG_PRIME)
 
 
-def _kernel_oracle_check(f, a, b, h, e):
-    # The packed kernel against UniPoly schoolbook products reduced by divmod.
-    field, n = f.field, f.degree()
-    ring = factor._ModRing(f)
+def _kernel_oracle_check(n, a, b, e):
+    # The packed kernel in F_p[x]/(x^n - 1) against UniPoly schoolbook
+    # products reduced by divmod.
+    field = a.field
+    ring, binomial = factor._CyclicRing(field.p, n), UniPoly(field, [-1] + [0] * (n - 1) + [1])
 
     def elem(poly):
         return list(poly.coeffs) + [0] * (n - len(poly.coeffs))
 
-    # A slot holds the largest value the kernel puts in it.
-    assert (2 * n - 1) * (field.p - 1) ** 2 < 1 << (8 * ring.size)
-    assert ring.elem(a) == elem(a % f)
-    assert ring.mul(ring.elem(a), ring.elem(b)) == elem(a * b % f)
-    assert ring.pow(ring.elem(a), e) == elem(_pow_mod_oracle(a, e, f))
-    xp = _pow_mod_oracle(UniPoly.gen(field), field.p, f)
-    assert ring.pow(ring.elem(UniPoly.gen(field)), field.p) == elem(xp)
-    rows = ring.frobenius_rows()
-    row = UniPoly.one(field)
-    for packed in rows:
-        assert ring.unpack(packed, n) == elem(row)
-        row = row * xp % f
-    h = h % f
-    assert ring.dot(0, elem(h), rows) == elem(_pow_mod_oracle(h, field.p, f))
-    # The same products in F_p[t]/(t^n - 1), whose slots each sum n of them.
-    cyclic, binomial = factor._CyclicRing(field.p, n), UniPoly(field, [-1] + [0] * (n - 1) + [1])
-    assert n * (field.p - 1) ** 2 < 1 << (8 * cyclic.size)
+    # A slot holds the largest value the kernel puts in it: a sum of n products.
+    assert n * (field.p - 1) ** 2 < 1 << (8 * ring.size)
     a, b = a % binomial, b % binomial
-    assert cyclic.mul(elem(a), elem(b)) == elem(a * b % binomial)
-    assert cyclic.pow(elem(a), e) == elem(_pow_mod_oracle(a, e, binomial))
+    assert ring.mul(elem(a), elem(b)) == elem(a * b % binomial)
+    assert ring.pow(elem(a), e) == elem(_pow_mod_oracle(a, e, binomial))
 
 
 def _square_and_multiply(ring, a, e):
@@ -707,21 +707,32 @@ def _square_and_multiply(ring, a, e):
 
 @st.composite
 def _kernel_cases(draw):
-    p = draw(st.sampled_from(KERNEL_PRIMES))
+    # n, then a of degree up to 2n, b of degree below n and an exponent.
+    p, n = draw(st.sampled_from(KERNEL_PRIMES)), draw(st.integers(1, 60))
     field = Field.prime(p)
-    n = draw(st.integers(1, 60))
     residues = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
 
     def poly(degree):
         return UniPoly(field, draw(st.lists(residues, min_size=degree + 1,
                                             max_size=degree + 1)))
 
-    f = UniPoly(field, draw(st.lists(residues, min_size=n, max_size=n)) + [1])
-    return f, poly(draw(st.integers(0, 2 * n))), poly(n - 1), poly(n - 1), \
-        draw(st.integers(1, 300))
+    return n, poly(draw(st.integers(0, 2 * n))), poly(n - 1), draw(st.integers(1, 300))
+
+
+@st.composite
+def _frobenius_cases(draw):
+    # A monic f of degree n and an h of degree below n, or all-(p-1)
+    # operands, with x^n = (p-1)(1 + x + ... + x^(n-1)) mod f.
+    p, n = draw(st.sampled_from(KERNEL_PRIMES)), draw(st.integers(1, 30))
+    field = Field.prime(p)
+    if draw(st.booleans()):
+        return UniPoly(field, [1] * (n + 1)), UniPoly(field, [p - 1] * n)
+    residues = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return UniPoly(field, draw(residues) + [1]), UniPoly(field, draw(residues))
 
 
 class TestModRing:
+    # _CyclicRing, the one packed ring: the split and the report products.
     @settings(max_examples=60, deadline=None)
     @given(_kernel_cases())
     def test_matches_schoolbook(self, case):
@@ -730,28 +741,37 @@ class TestModRing:
     @pytest.mark.parametrize("p", [2, 101, BIG_PRIME])
     def test_windowed_power_matches_square_and_multiply(self, p):
         # pow takes 4-bit windows from 16-bit exponents on: every length from
-        # 1 to 40 bits, in F_p[t]/(f) and in F_p[x]/(x^m - 1).
-        rng, field = random.Random(p), Field.prime(p)
+        # 1 to 40 bits, in F_p[x]/(x^m - 1).
+        rng = random.Random(p)
         for bits in range(1, 41):
             n = rng.randint(1, 12)
-            f = UniPoly(field, [rng.randrange(p) for _ in range(n)] + [1])
-            for ring in (factor._ModRing(f), factor._CyclicRing(p, n)):
-                a = [rng.randrange(p) for _ in range(n)]
-                for e in (1 << (bits - 1), rng.randrange(1 << (bits - 1), 1 << bits),
-                          (1 << bits) - 1):
-                    assert ring.pow(a, e) == _square_and_multiply(ring, a, e)
+            ring = factor._CyclicRing(p, n)
+            a = [rng.randrange(p) for _ in range(n)]
+            for e in (1 << (bits - 1), rng.randrange(1 << (bits - 1), 1 << bits),
+                      (1 << bits) - 1):
+                assert ring.pow(a, e) == _square_and_multiply(ring, a, e)
 
     @pytest.mark.parametrize("p", KERNEL_PRIMES)
     @pytest.mark.parametrize("n", [1, 3, 60])
     def test_full_slots(self, p, n):
-        # All-(p-1) operands, and x^n = (p-1)(1 + x + ... + x^(n-1)) mod f, so
-        # every product and table entry is as large as a residue can be.
-        field = Field.prime(p)
-        full = UniPoly(field, [p - 1] * n)
-        f = UniPoly(field, [1] * n + [1])
-        _kernel_oracle_check(f, full, full, full, p - 1)
-        ring = factor._ModRing(f)
-        assert ring.table[:1] == ([] if n == 1 else [ring.pack([p - 1] * n)])
+        # All-(p-1) operands, so every product is as large as a residue can be.
+        full = UniPoly(Field.prime(p), [p - 1] * n)
+        _kernel_oracle_check(n, full, full, p - 1)
+
+
+class TestFrobeniusRows:
+    @settings(max_examples=60, deadline=None)
+    @given(_frobenius_cases())
+    def test_match_square_and_multiply(self, case):
+        # h^p = sum h_j x^(p*j) mod f, taken on the rows x^(p*j) mod f, j < n;
+        # a wrong or missing row shows in h^p for all but few h.
+        f, h = case
+        field, n = f.field, f.degree()
+        rows = factor._frobenius_rows(f)
+        assert len(rows) == n
+        assert rows[:2] == [UniPoly.one(field), _pow_mod_oracle(UniPoly.gen(field), field.p, f)][:n]
+        assert sum((row * c for c, row in zip(h.coeffs, rows)), UniPoly.zero(field)) \
+            == _pow_mod_oracle(h, field.p, f)
 
 
 class TestFactorHomogeneous:
