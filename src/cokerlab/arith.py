@@ -62,7 +62,7 @@ class Field(_record("Field", "p", defaults=(None,))):
         self = super().__new__(cls, *args, **kwargs)
         if self.p is not None:
             if self.p >= _PRIME_BOUND:
-                raise ValueError(f"prime {self.p} exceeds the supported bound 2^31")
+                raise ValueError(f"{self.p} exceeds the supported bound 2^31")
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
         return self
@@ -156,11 +156,6 @@ class Field(_record("Field", "p", defaults=(None,))):
             r = Fraction(a) / Fraction(b)
             return r.numerator if r.denominator == 1 else r
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: Scalar, e: int) -> Scalar:
-        if self.p is None:
-            return a ** e
-        return pow(a, e, self.p)
 
 
 def _require_same_field(a: Field, b: Field) -> None:
@@ -400,30 +395,6 @@ class MultiPoly:
 
     def __pow__(self, n: int) -> MultiPoly:
         return _power(self, n, MultiPoly.one(self.field))
-
-    def substitute(self, values: Mapping[str, Union[int, Fraction]]) -> MultiPoly:
-        """Specialize some variables to scalar values."""
-        f = self.field
-        coerced = {name: f.coerce(v) for name, v in values.items()}
-        for name in coerced:
-            if name not in _VAR_POS:
-                raise ValueError(f"unknown variable {name!r}")
-        acc = {}
-        for mono, c in self._terms.items():
-            coeff = c
-            exps = list(mono.exps)
-            for name, val in coerced.items():
-                pos = _VAR_POS[name]
-                if exps[pos]:
-                    coeff = f.mul(coeff, f.pow(val, exps[pos]))
-                    exps[pos] = 0
-            rest = Monomial(tuple(exps))
-            s = f.add(acc.get(rest, f.zero), coeff)
-            if s == 0:
-                acc.pop(rest, None)
-            else:
-                acc[rest] = s
-        return MultiPoly(f, acc)
 
     # -- comparison and display ------------------------------------------------
 
@@ -872,8 +843,6 @@ def parse_poly(text: str, field: Field) -> MultiPoly:
         if body[0] in "+-":
             sign = -1 if body[0] == "-" else 1
             body = body[1:]
-        if not body:
-            raise ValueError(f"malformed term in {text!r}")
         coeff = field.one
         mono = Monomial.one()
         for part in body.split("*"):

@@ -397,6 +397,10 @@ def _equal_degree(f: UniPoly, k: int, rng: random.Random) -> list:
             h = UniPoly._exact(field, [sum(map(int.__mul__, h.coeffs, c)) for c in columns])
         return h
 
+    ones = UniPoly._exact(field, [1] * n)  # h^(p^k) = h mod f for all h; this h uses each row
+    if k > 1 and conjugate(ones, k) != ones:
+        raise ArithmeticError("the Frobenius matrix does not fix 1 + x + ... + x^(n-1)")
+
     for _ in range(_EDF_MAX_TRIES):
         # h folds the first j conjugates of r: S_2j = S_j S_j^(p^j), S_(j+1) = r S_j^p.
         r = h = UniPoly._exact(field, _random_poly(rng, field, n - 1))

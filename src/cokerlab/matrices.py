@@ -73,9 +73,6 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(self.nonzeros)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -90,11 +87,6 @@ class PolyMatrix:
             raise ValueError("dimension mismatch in matrix-vector product")
         zero = MultiPoly.zero(self.field)
         return [sum((e * v[j] for j, e in row.items()), zero) for row in self.nonzeros]
-
-    def substitute(self, values) -> PolyMatrix:
-        return PolyMatrix.from_nonzeros(
-            self.field, self.cols,
-            [{j: e.substitute(values) for j, e in row.items()} for row in self.nonzeros])
 
     def without_rows(self, drop) -> PolyMatrix:
         dropped = set(drop)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from cokerlab.arith import (
     Field,
+    Form,
     MultiPoly,
     gcd_univariate,
     parse_poly,
@@ -99,7 +100,8 @@ def test_criterion_05_torsion_certificates():
             e_j = [zero] * (d - 1)
             e_j[j] = MultiPoly.one(Q)
             assert not solve_square(b, e_j).is_solution
-        assert b.substitute({"s": 0, "t": 0}).is_zero()
+        # Every entry is a form of degree 1 in s, t, so B vanishes at s = t = 0.
+        assert all(Form.from_multipoly(e).degree == 1 for row in b.nonzeros for e in row.values())
         witness = torsion_witness([d], Q)[0]
         assert witness.annihilator == t_poly
     _report(5, "torsion certificates and e_j non-membership, d = 2..10")

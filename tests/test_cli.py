@@ -103,6 +103,14 @@ class TestExitCodes:
     def test_bad_field_spec(self, capsys):
         assert main(["verify-lemma1", "--max-i", "2", "--field", "fp:6"]) == EXIT_USAGE
 
+    def test_field_past_the_bound_is_not_called_a_prime(self, capsys):
+        argv = ["verify-lemma1", "--max-i", "2", "--field", "fp:2147483648"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "exceeds the supported bound" in captured.err
+        assert "prime 2147483648" not in captured.err
+
     def test_frobenius_rejects_small_n(self, capsys):
         assert main(["frobenius", "--n-set", "5"]) == EXIT_USAGE
 
@@ -606,7 +614,6 @@ class TestComputedOnce:
         a_builds = _count_bindings(monkeypatch, "build_a")
         certificates = _count_bindings(monkeypatch, "certify_det_b")
         determinants = _count_bindings(monkeypatch, "continuant")
-        substitutions = _count_calls(monkeypatch, PolyMatrix, "substitute")
         matrices_made = _count_calls(monkeypatch, PolyMatrix, "__init__")
         renderings = _count_calls(monkeypatch, PolyMatrix, "to_strings")
         blocks = _count_calls(monkeypatch, PolyMatrix, "without_columns")
@@ -618,11 +625,11 @@ class TestComputedOnce:
             # Only A_N is built, for the column bidegrees and component_dd:
             # each smaller A_(d-1) is a leading block of it.
             assert [args[0] for args in a_builds] == [5]
-            # The fiber of B_N at s = t = 0 is read off its certificate, not
-            # substituted for, and no determinant is taken.
-            assert substitutions == determinants == []
+            # The fiber of B_N at s = t = 0 is read off its certificate, and
+            # no determinant is taken.
+            assert determinants == []
             return
-        assert a_builds == substitutions == []
+        assert a_builds == []
         if argv[0] == "frobenius":
             # No determinant is taken, and each printed matrix is a leading
             # block of the certified one, sliced from its one rendering.
@@ -879,6 +886,18 @@ class TestCertificateFailure:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: certificate check failed:")
+
+    def test_e1_in_the_image_exits_1_without_a_report(self, monkeypatch, capsys, tmp_path):
+        # If tau divided every Cramer numerator of e_1, e_1 would be in the image.
+        monkeypatch.setattr(Form, "divides", lambda self, other: True)
+        target = tmp_path / "r.json"
+        argv = ["cohomology", "--d-min", "2", "--d-max", "5", "--output", str(target)]
+        assert main(argv) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err \
+            == "error: certificate check failed: e_1 unexpectedly lies in the image\n"
+        assert list(tmp_path.iterdir()) == []
 
     # Each A_(d-1) is a leading block of A_N, so corrupting only A_N fails
     # the one check of A_N, and with it every record's flag.

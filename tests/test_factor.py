@@ -127,6 +127,13 @@ class TestCyclotomic:
                 product = product * cyclotomic(d)
         assert product == t ** n - 1
 
+    def test_a_wrong_prime_divisor_fails_the_division_check(self, monkeypatch):
+        # With 2 taken for 5's prime divisor, t^2 - 1 must divide t^5 - 1.
+        monkeypatch.setattr(factor, "_prime_divisors", lambda n: [2])
+        cyclotomic.cache_clear()
+        with pytest.raises(ArithmeticError, match="does not divide the product for Phi_5"):
+            cyclotomic(5)
+
     def test_degree_is_totient(self):
         for n in range(1, 51):
             assert cyclotomic(n).degree() == totient(n) == _brute_totient(n)
@@ -561,6 +568,19 @@ class TestEqualDegree:
                             lambda rng, field, degree: [1] * (degree + 1))
         with pytest.raises(ArithmeticError):
             factor._split_fixed(UniPoly(field, cyclotomic(m).coeffs), m, random.Random(0))
+
+    # Mod 2, Phi_73 is eight factors of degree 9, and x^(2^9) = x never reads
+    # the row dropped here; mod 101, Phi_37 is six factors of degree 6.
+    @pytest.mark.parametrize("p, m", [(2, 73), (101, 37)])
+    def test_a_wrong_frobenius_matrix_fails_before_any_trial(self, monkeypatch, p, m):
+        rows, draw, draws = factor._frobenius_rows, factor._random_poly, []
+        monkeypatch.setattr(factor, "_frobenius_rows", lambda f: rows(f)[:-1])
+        monkeypatch.setattr(factor, "_random_poly",
+                            lambda *args: draws.append(args) or draw(*args))
+        phi = UniPoly(Field.prime(p), cyclotomic(m).coeffs)
+        with pytest.raises(ArithmeticError, match="Frobenius matrix"):
+            factor._equal_degree(phi, _order(p, m), random.Random(0))
+        assert draws == []
 
     # Mod 101, Phi_77 is two factors of degree 30, Phi_37 six of degree 6,
     # and Phi_100 forty linear factors, whose split needs no Frobenius matrix.
