@@ -124,8 +124,6 @@ def inverse_basis(d: int) -> list:
 def matrix_of_f(d: int, field: Field) -> PolyMatrix:
     """Matrix of multiplication by the quadric from degree -(d+2) to degree -d,
     in the ordered inverse-monomial bases."""
-    if d < 2:
-        raise ValueError("matrix_of_f requires d >= 2")
     source = inverse_basis(d + 2)
     target = inverse_basis(d)
     position = {im: r for r, im in enumerate(target)}
@@ -244,25 +242,24 @@ def component_dd(a: PolyMatrix) -> Presentation:
 
 
 class TorsionWitness(namedtuple("TorsionWitness",
-                                 "d annihilator solution failed_column relations")):
-    """Certifies that the class of e_1 in the cokernel of the square matrix
-    ``relations`` (B_(d-1)) is nonzero torsion: the annihilator tau_(d-1)
-    = det(relations) times e_1 is hit exactly, while e_1 itself is certified
-    outside the image."""
+                                 "d annihilator solution failed_column")):
+    """Certifies that the class of e_1 in the cokernel of B_(d-1), the leading
+    (d-1) x (d-1) block of the certified B_N, is nonzero torsion: the
+    annihilator tau_(d-1) = det(B_(d-1)) times e_1 is hit exactly, while e_1
+    itself is certified outside the image."""
 
     __slots__ = ()
 
 
-def torsion_witness(d_set: Sequence[int], field: Field) -> list:
-    """Build and verify the torsion certificate for each degree -d piece.
+def torsion_witness(d_set: Sequence[int], field: Field) -> tuple:
+    """(B_N, [torsion certificate for each d in d_set in order]),
+    N = max(d_set) - 1.
 
-    With N = max(d_set) - 1, B_N is built once, and certify_det_b proves
-    det(B_n) = tau_n for every n <= N and returns w = adj(B_N) e_1.  For
-    n = d - 1, its proof also gives adj(B_n) e_1 as w's last n entries over
-    (-s)^(N-n).  These are the Cramer numerators of e_1, so the
-    non-membership certificate for e_1, the first column whose numerator
-    tau_n does not divide, needs no elimination.  Each witness carries the
-    leading block B_n of B_N as its ``relations``.
+    B_N is built once, and certify_det_b proves det(B_n) = tau_n for every
+    n <= N and returns w = adj(B_N) e_1.  For n = d - 1, its proof also gives
+    adj(B_n) e_1 as w's last n entries over (-s)^(N-n).  These are the Cramer
+    numerators of e_1, so the non-membership certificate for e_1, the first
+    column whose numerator tau_n does not divide, needs no elimination.
     """
     if not d_set or any(d < 2 for d in d_set):
         raise ValueError("torsion_witness requires a nonempty d_set with every d >= 2")
@@ -278,10 +275,9 @@ def torsion_witness(d_set: Sequence[int], field: Field) -> list:
                        if not annihilator.divides(numerator)), None)
         if failed is None:
             raise ArithmeticError("e_1 unexpectedly lies in the image")
-        relations = b.without_rows(range(n, top)).without_columns(range(n, top))
         witnesses.append(TorsionWitness(d=d, annihilator=annihilator, solution=solution,
-                                        failed_column=failed, relations=relations))
-    return witnesses
+                                        failed_column=failed))
+    return b, witnesses
 
 
 class PrimeWitness(namedtuple("PrimeWitness", "generator source_d avoids_s")):
@@ -297,8 +293,6 @@ def prime_witnesses(d: int, report: FactorReport) -> list:
     division here: a FactorReport cannot be built, by its constructor, _make
     or _replace, unless unit * prod(factor^mult) reassembles its input.  No
     factor is s, since tau_(d-1) has coefficient (-1)^(d-1) at t^(d-1)."""
-    if d < 2:
-        raise ValueError("prime_witnesses requires d >= 2")
     if report.input != tau(d - 1, report.input.field):
         raise ValueError("the report does not factor tau_(d-1)")
     return [PrimeWitness(generator=poly, source_d=d, avoids_s=True)

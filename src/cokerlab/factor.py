@@ -649,8 +649,6 @@ def separability_check(p: int, m: int) -> SeparabilityCertificate:
     if m < 1:
         raise ValueError("separability_check requires m >= 1")
     index = p ** m - 2
-    if index < 1:
-        raise ValueError(f"p^m - 2 = {index} is below 1")
     s_poly = sigma(index, field)
     g = gcd_univariate(s_poly, s_poly.derivative())
     t = UniPoly.gen(field)
@@ -667,8 +665,6 @@ def accumulate_distinct(indices: Sequence[int], field: Field,
                         seed: Optional[int] = None) -> GrowthReport:
     """Factor tau_i for each index and count distinct irreducibles seen so far."""
     idx = list(indices)
-    if any(i < 1 for i in idx):
-        raise ValueError("indices must be >= 1")
     reports = [factor_tau(i, field, seed=seed) for i in idx]
     return accumulate_reports(idx, reports)
 

@@ -132,8 +132,6 @@ def _band(field: Field) -> tuple:
 def build_a(dminus1: int, field: Field) -> PolyMatrix:
     """Tridiagonal (d-1) x (d+1) matrix: row i carries s*x^2, -(t+s)*x*y,
     t*y^2 in columns i, i+1, i+2 (1-based)."""
-    if dminus1 < 1:
-        raise ValueError("build_a requires dminus1 >= 1")
     x, y = MultiPoly.variable(field, "x"), MultiPoly.variable(field, "y")
     diag = [e * m for e, m in zip(_band(field), (x * x, x * y, y * y))]
     return PolyMatrix.from_nonzeros(field, dminus1 + 2,
@@ -144,8 +142,6 @@ def build_b(i: int, field: Field) -> PolyMatrix:
     """Square i x i tridiagonal matrix with s below the diagonal, -(t+s) on
     it and t above it: build_a(i) at x = y = 1 without its first and last
     columns."""
-    if i < 1:
-        raise ValueError("build_b requires i >= 1")
     band = _band(field)
     return PolyMatrix.from_nonzeros(field, i, [
         {c: band[c - r + 1] for c in range(max(r - 1, 0), min(r + 2, i))} for r in range(i)])

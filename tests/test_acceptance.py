@@ -102,7 +102,8 @@ def test_criterion_05_torsion_certificates():
             assert not solve_square(b, e_j).is_solution
         # Every entry is a form of degree 1 in s, t, so B vanishes at s = t = 0.
         assert all(Form.from_multipoly(e).degree == 1 for row in b.nonzeros for e in row.values())
-        witness = torsion_witness([d], Q)[0]
+        certified, (witness,) = torsion_witness([d], Q)
+        assert certified == b
         assert witness.annihilator == t_poly
     _report(5, "torsion certificates and e_j non-membership, d = 2..10")
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,31 @@ class TestField:
 
     def test_rational_scalars_stay_exact(self):
         assert Q.div(Q.one, Q.coerce(3)) == Fraction(1, 3)
+
+
+class TestGuards:
+    # Each argument check, on the input it exists for: its exception class and
+    # its whole message.
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: F7.coerce(Fraction(1, 7)), ZeroDivisionError, "denominator vanishes modulo p"),
+        (lambda: Q.inv(0), ZeroDivisionError, "inverse of zero"),
+        (lambda: F7.inv(0), ZeroDivisionError, "inverse of zero"),
+        (lambda: Q.div(1, 0), ZeroDivisionError, "division by zero"),
+        (lambda: Monomial.from_dict({"x": -1}), ValueError, "negative exponent for 'x'"),
+        (lambda: Monomial.from_dict({"x": 1}) / Monomial.from_dict({"y": 1}), ValueError,
+         "y does not divide x"),
+        (lambda: MultiPoly.zero(Q).leading_term(), ValueError,
+         "zero polynomial has no leading term"),
+        (lambda: qp("t") ** -1, ValueError, "negative power of a polynomial"),
+        (lambda: UniPoly.zero(Q).lc(), ValueError, "zero polynomial has no leading coefficient"),
+        (lambda: UniPoly(Q, [1, 0, 1]).exact_quotient(UniPoly(Q, [-1, 1])), ValueError,
+         "t-1 does not divide t^2+1"),
+    ], ids=["coerce_denominator", "inv_zero_q", "inv_zero_fp", "div_by_zero", "negative_exponent",
+            "monomial_non_divisor", "leading_term_of_zero", "negative_power", "lc_of_zero",
+            "exact_quotient_non_divisor"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestMonomial:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,30 @@ def qf(text):
 
 def elem(alpha, beta):
     return InverseElement.basis_element(Q, InverseMonomial(alpha, beta))
+
+
+class TestGuards:
+    # Each argument check, on the input it exists for: its exception class and
+    # its whole message.  The last two inputs lost their checks here; the
+    # callee rejects them.
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: InverseElement(Q, {InverseMonomial(1, 1): parse_poly("t", F7)}), ValueError,
+         "coefficient over the wrong field"),
+        (lambda: poly_bidegree(MultiPoly.zero(Q), 1), ValueError,
+         "the zero polynomial has no bidegree"),
+        (lambda: column_bidegree(PolyMatrix.from_nonzeros(Q, 1, [{0: qp("x")}, {0: qp("x")}]), 0),
+         ValueError, "column is not bihomogeneous"),
+        (lambda: torsion_witness([1], Q), ValueError,
+         "torsion_witness requires a nonempty d_set with every d >= 2"),
+        (lambda: torsion_witness([], Q), ValueError,
+         "torsion_witness requires a nonempty d_set with every d >= 2"),
+        (lambda: matrix_of_f(1, Q), ValueError, "the module vanishes above degree -2"),
+        (lambda: prime_witnesses(1, factor_tau(1, Q)), ValueError, "tau(i) requires i >= 1"),
+    ], ids=["wrong_field", "bidegree_of_zero", "mixed_column", "torsion_d1", "torsion_empty",
+            "matrix_of_f_d1_by_inverse_basis", "prime_witnesses_d1_by_tau"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestMultiplier:
@@ -236,22 +262,21 @@ class TestComponent:
 
 class TestTorsionWitness:
     def test_d2(self):
-        w = torsion_witness([2], Q)[0]
+        _, (w,) = torsion_witness([2], Q)
         assert w.annihilator == qf("-t-s")
         assert list(w.solution) == [qf("1")]
         assert w.failed_column == 1
 
     def test_d3_solution_is_adjugate_column(self):
-        w = torsion_witness([3], Q)[0]
+        _, (w,) = torsion_witness([3], Q)
         assert list(w.solution) == [qf("-t-s"), qf("-s")]
         assert [e.to_multipoly() for e in w.solution] == adjugate_column(build_b(2, Q), 0)
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_certificates_verify(self, d):
         for field in (Q, F2, F7):
-            w = torsion_witness([d], field)[0]
-            b = build_b(d - 1, field)
-            assert w.relations == b
+            b, (w,) = torsion_witness([d], field)
+            assert b == build_b(d - 1, field)
             solution = [e.to_multipoly() for e in w.solution]
             achieved = b.mul_vector(solution)
             expected = [tau(d - 1, field).to_multipoly()] + [MultiPoly.zero(field)] * (d - 2)
@@ -270,13 +295,15 @@ class TestTorsionWitness:
 
     @pytest.mark.parametrize("field", [Q, F2, F7], ids=["q", "fp2", "fp7"])
     def test_one_certificate_serves_every_degree(self, field):
-        # Each witness read off the one certificate of B_29 is the one B_(d-1)
-        # would certify alone.
-        witnesses = torsion_witness(range(2, 31), field)
+        # Each witness read off the one certificate of B_29 is the one B_(d-1),
+        # a leading block of B_29, would certify alone.
+        top, witnesses = torsion_witness(range(2, 31), field)
+        assert top == build_b(29, field)
         assert [w.d for w in witnesses] == list(range(2, 31))
         for w in witnesses:
-            b = build_b(w.d - 1, field)
-            assert w.relations == b
+            n = w.d - 1
+            b = build_b(n, field)
+            assert top.without_rows(range(n, 29)).without_columns(range(n, 29)) == b
             assert list(w.solution) == certify_det_b(b)
             if w.d <= 10:
                 assert [e.to_multipoly() for e in w.solution] == adjugate_column(b, 0)
@@ -300,7 +327,7 @@ class TestTorsionWitness:
             torsion_witness([4], Q)
 
     def test_prime_field(self):
-        w = torsion_witness([4], F3)[0]
+        _, (w,) = torsion_witness([4], F3)
         assert w.annihilator == tau(3, F3)
 
     def test_rejects_small_d(self):

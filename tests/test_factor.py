@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -102,6 +103,27 @@ def _canonical_factor_lists(draw):
         lead = draw(st.sampled_from(leads))
         pairs.append((UniPoly(field, coeffs + [lead]), draw(st.integers(1, 3))))
     return pairs
+
+
+class TestGuards:
+    # Each argument check, on the input it exists for: its exception class and
+    # its whole message.  Without its check, totient(0) would loop for ever.
+    # The last two inputs lost their checks here; the callee rejects them.
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: totient(-1), ValueError, "totient requires n >= 1"),
+        (lambda: totient(0), ValueError, "totient requires n >= 1"),
+        (lambda: separability_check(2, 0), ValueError, "separability_check requires m >= 1"),
+        (lambda: factor_over_prime_field(UniPoly.zero(F7)), ValueError,
+         "cannot factor the zero polynomial"),
+        (lambda: factor_homogeneous_st(Form(UniPoly.zero(Q), 0)), ValueError,
+         "cannot factor the zero polynomial"),
+        (lambda: separability_check(2, 1), ValueError, "sigma(i) requires i >= 1"),
+        (lambda: accumulate_distinct([0], Q), ValueError, "tau(i) requires i >= 1"),
+    ], ids=["totient_negative", "totient_zero", "separability_m0", "factor_zero_fp",
+            "factor_zero_form", "separability_index0_by_sigma", "accumulate_index0_by_tau"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestCyclotomic:

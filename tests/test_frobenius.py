@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,17 @@ F7 = Field.prime(7)
 
 def qp(text):
     return parse_poly(text, Q)
+
+
+class TestGuards:
+    # The degree range of component_t: its exception class and whole message.
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: component_t(6, 4, Q), ValueError, "component_t requires 4 < d <= n+1"),
+        (lambda: component_t(6, 8, Q), ValueError, "component_t requires 4 < d <= n+1"),
+    ], ids=["d_below", "d_above"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestDefiningQuartic:

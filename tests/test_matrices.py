@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,34 @@ def _abar(a):
             for r, row in enumerate(a.nonzeros)]
     assert None not in (e for row in rows for e in row.values())
     return PolyMatrix.from_nonzeros(a.field, a.cols, rows)
+
+
+class TestGuards:
+    # Each argument check, on the input it exists for: its exception class and
+    # its whole message.  The last two inputs lost their checks here; the
+    # constructor rejects them.
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: build_b(2, Q)[2, 0], IndexError, "matrix index out of range"),
+        (lambda: build_b(2, Q)[0, 2], IndexError, "matrix index out of range"),
+        (lambda: continuant(build_a(2, Q)), ValueError, "continuant of a non-square matrix"),
+        (lambda: build_b(2, Q).mul_vector([qp("1")]), ValueError,
+         "dimension mismatch in matrix-vector product"),
+        (lambda: build_b(2, Q).replace_column(0, [qp("1")]), ValueError,
+         "replacement column has wrong length"),
+        (lambda: adjugate_column(build_a(2, Q), 0), ValueError, "adjugate of a non-square matrix"),
+        (lambda: solve_square(build_a(2, Q), [qp("1"), qp("0")]), ValueError,
+         "solve_square requires a square matrix"),
+        (lambda: solve_square(build_b(2, Q), [qp("1")]), ValueError,
+         "right-hand side has wrong length"),
+        (lambda: build_a(0, Q), ValueError, "matrix must have positive dimensions"),
+        (lambda: build_b(0, Q), ValueError, "matrix must have positive dimensions"),
+    ], ids=["row_out_of_range", "column_out_of_range", "continuant_non_square",
+            "mul_vector_length", "replace_column_length", "adjugate_non_square",
+            "solve_non_square", "solve_rhs_length", "build_a_0_by_from_nonzeros",
+            "build_b_0_by_from_nonzeros"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestBuilders:
@@ -323,7 +352,7 @@ class TestCertifyDetB:
             w = certify_det_b(build_b(i, field))
             assert len(w) == i and w[-1].to_multipoly() == minus_s ** (i - 1)
         for d in range(2, 21):
-            witness = cohomology.torsion_witness([d], field)[0]
+            _, (witness,) = cohomology.torsion_witness([d], field)
             assert witness.annihilator == tau(d - 1, field)
         # A whole verify-lemma1 run certifies B_20 once; cli keeps its own
         # binding of the continuant, so only the certificate would raise.

@@ -39,7 +39,7 @@ SAMPLES = {
     "Bidegree": lambda: Bidegree(2, 3),
     "Generator": lambda: Generator(Monomial.one(), 1, None),
     "Presentation": lambda: component_dd(build_a(2, Q)),
-    "TorsionWitness": lambda: torsion_witness([3], Q)[0],
+    "TorsionWitness": lambda: torsion_witness([3], Q)[1][0],
     "PrimeWitness": lambda: prime_witnesses(3, factor_tau(2, Q))[0],
     "FactorReport": lambda: factor_tau(1, Q),
     "GrowthReport": lambda: accumulate_distinct([1], Q),
