@@ -824,7 +824,7 @@ class Form:
 # ----------------------------------------------------------------------------
 # Canonical text form.
 
-_NUMBER_RE = re.compile(r"^\d+(/\d+)?$")
+_NUMBER_RE = re.compile(r"^\d+(/0*[1-9]\d*)?$")
 _VAR_RE = re.compile(r"^([a-z])(\^(\d+))?$")
 
 

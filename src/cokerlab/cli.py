@@ -145,15 +145,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _envelope(config: RunConfig) -> dict:
-    return {
-        "command": config.command,
-        "version": __version__,
-        "field": config.field.spec,
-        "seed": config.seed,
-    }
-
-
 # ----------------------------------------------------------------------------
 # Command payloads.
 
@@ -167,28 +158,22 @@ def _factors_json(report) -> dict:
 def run_verify(config: RunConfig) -> tuple:
     field, n = config.field, config.max_i
     b = build_b(n, field)
-    try:
-        dets = continuant(b)  # det B_i is the leading minor D_i of B_n
-    except ValueError:  # an entry of B is not a form, so no minor is one either
-        dets = [None] * n
+    # The continuant runs the recurrence checked below, so the identities are
+    # proven independently of it, by one certificate for all of them; that
+    # certificate also makes B_n tridiagonal with forms for entries.
+    certify_det_b(b)
+    dets = continuant(b)  # det B_i is the leading minor D_i of B_n
     taus = [tau(i, field) for i in range(1, n + 1)]
-    if any(d == t_i for d, t_i in zip(dets, taus)):
-        # The continuant runs the recurrence checked below, so the identities
-        # are proven independently of it, by one certificate for all of them.
-        certify_det_b(b)
     st = Form(UniPoly.gen(field), 2)  # the recurrence multipliers are tau_1, st
     results = [{
         "i": i,
-        "det_b": None if d is None else str(d),
+        "det_b": str(d),
         "tau": str(t_i),
         "identity": d == t_i,
-        "recurrence": (d == taus[0] * dets[i - 2] - st * dets[i - 3]
-                       if i >= 3 and d is not None else None),
+        "recurrence": d == taus[0] * dets[i - 2] - st * dets[i - 3] if i >= 3 else None,
     } for i, (d, t_i) in enumerate(zip(dets, taus), 1)]
     all_pass = all(r["identity"] and r["recurrence"] is not False for r in results)
-    payload = _envelope(config)
-    payload.update({"max_i": n, "results": results, "all_pass": all_pass})
-    return payload, all_pass
+    return {"max_i": n, "results": results, "all_pass": all_pass}, all_pass
 
 
 def run_factors(config: RunConfig) -> tuple:
@@ -204,11 +189,9 @@ def run_factors(config: RunConfig) -> tuple:
                 "new_distinct": new, "cumulative_distinct": cum}
                for i, report, new, cum in zip(growth.index_set, growth.per_index,
                                               growth.new_distinct, growth.cumulative_distinct)]
-    payload = _envelope(config)
-    payload.update({"warnings": warnings, "growth": {
+    return {"warnings": warnings, "growth": {
         "indices": list(growth.index_set), "records": records,
-        "final_distinct": growth.final_distinct}})
-    return payload, True
+        "final_distinct": growth.final_distinct}}, True
 
 
 def run_cohomology(config: RunConfig) -> tuple:
@@ -256,10 +239,8 @@ def run_cohomology(config: RunConfig) -> tuple:
                 "fiber_dimension": d - 1,
             },
         })
-    payload = _envelope(config)
-    payload.update({"d_min": config.d_min, "d_max": config.d_max,
-                    "records": records, "all_pass": all_pass})
-    return payload, all_pass
+    return {"d_min": config.d_min, "d_max": config.d_max,
+            "records": records, "all_pass": all_pass}, all_pass
 
 
 def run_frobenius(config: RunConfig) -> tuple:
@@ -285,9 +266,7 @@ def run_frobenius(config: RunConfig) -> tuple:
         "cumulative_witnesses": cum,
     } for n, report, new, cum in zip(config.n_set, reports, growth.new_distinct,
                                      growth.cumulative_distinct)]
-    payload = _envelope(config)
-    payload.update({"n_set": list(config.n_set), "records": records, "all_pass": True})
-    return payload, True
+    return {"n_set": list(config.n_set), "records": records, "all_pass": True}, True
 
 
 _RUNNERS = {
@@ -377,7 +356,6 @@ def render_text(payload: dict) -> list:
                 extra = f" recurrence={'PASS' if r['recurrence'] else 'FAIL'}"
             lines.append(f"i={r['i']}: det B_{r['i']} = {r['det_b']}; "
                          f"tau_{r['i']} = {r['tau']}; identity={verdict}{extra}")
-        lines.append(f"RESULT: {'PASS' if payload['all_pass'] else 'FAIL'}")
     elif command == "factors":
         for warning in payload["warnings"]:
             lines.append(f"warning: {warning}")
@@ -396,7 +374,6 @@ def render_text(payload: dict) -> list:
                 f"B_{r['d'] - 1} collapse={'PASS' if r['component']['relations_match_b'] else 'FAIL'}; "
                 f"torsion annihilator={r['torsion_certificate']['annihilator']}; "
                 f"nonmembership=PASS; witnesses: {witnesses}")
-        lines.append(f"RESULT: {'PASS' if payload['all_pass'] else 'FAIL'}")
     else:
         for r in payload["records"]:
             lines.append(
@@ -406,6 +383,7 @@ def render_text(payload: dict) -> list:
                 f"det={r['det']}; det=tau_{r['n'] - 2}: "
                 f"{'PASS' if r['det_equals_tau'] else 'FAIL'}; "
                 f"new={r['new_witnesses']} cumulative={r['cumulative_witnesses']}")
+    if "all_pass" in payload:
         lines.append(f"RESULT: {'PASS' if payload['all_pass'] else 'FAIL'}")
     return ["\n".join(lines) + "\n"]
 
@@ -444,6 +422,9 @@ def _write_report(path: Path, chunks: list) -> None:
 def run(config: RunConfig) -> tuple:
     """Execute a validated configuration; returns (payload, chunks, exit code)."""
     payload, ok = _RUNNERS[config.command](config)
+    # What every report shares; each runner returns only its command's keys.
+    payload.update(command=config.command, version=__version__,
+                   field=config.field.spec, seed=config.seed)
     rendered = _RENDERERS[config.fmt](payload)
     return payload, rendered, (EXIT_OK if ok else EXIT_CHECK_FAILED)
 

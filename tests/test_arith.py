@@ -80,9 +80,10 @@ class TestGuards:
         (lambda: UniPoly.zero(Q).lc(), ValueError, "zero polynomial has no leading coefficient"),
         (lambda: UniPoly(Q, [1, 0, 1]).exact_quotient(UniPoly(Q, [-1, 1])), ValueError,
          "t-1 does not divide t^2+1"),
+        (lambda: parse_poly("1/0", Q), ValueError, "bad factor '1/0' in '1/0'"),
     ], ids=["coerce_denominator", "inv_zero_q", "inv_zero_fp", "div_by_zero", "negative_exponent",
             "monomial_non_divisor", "leading_term_of_zero", "negative_power", "lc_of_zero",
-            "exact_quotient_non_divisor"])
+            "exact_quotient_non_divisor", "parse_zero_denominator"])
     def test_raises(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cokerlab
-from cokerlab import cli, cohomology, factor, frobenius, matrices
+from cokerlab import arith, cli, cohomology, factor, frobenius, matrices
 from cokerlab.arith import Field, Form, MultiPoly, UniPoly, parse_poly, tau
 from cokerlab.cli import (
     EXIT_CHECK_FAILED,
@@ -329,7 +329,7 @@ class TestJsonRendering:
         assert all(isinstance(part, str) for part in parts)
         assert "".join(parts) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_JSON_PAYLOADS, st.sampled_from([1.5, Fraction(1, 2), {1}]),
            st.integers(0, 5))
     def test_other_values_raise_type_error(self, payload, bad, depth):
@@ -567,19 +567,31 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def _count_bindings(monkeypatch, name) -> list:
-    # Count the calls of a matrices function through every module binding it.
+def _count_bindings(monkeypatch, name, home=matrices, order=None) -> list:
+    # Count the calls of home's function through every module binding it;
+    # order, when given, also collects the name of each call as it is made.
     calls = []
-    original = getattr(matrices, name)
+    original = getattr(home, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
+        if order is not None:
+            order.append(name)
         return original(*args, **kwargs)
 
-    for module in (cli, cohomology, frobenius, matrices):
+    for module in (cokerlab, arith, cli, cohomology, factor, frobenius, matrices):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counting)
     return calls
+
+
+# The slow reference paths, kept for the tests to compare fast paths against.
+_ORACLES = [
+    (matrices, ("det", "adjugate_column", "solve_square")),
+    (arith, ("exact_divide",)),
+    (factor, ("_cyclotomic_trial_division", "_squarefree_parts", "_distinct_degree",
+              "_equal_degree", "factor_over_prime_field", "factor_homogeneous_st")),
+]
 
 
 class TestComputedOnce:
@@ -622,8 +634,9 @@ class TestComputedOnce:
                                                  b_sizes, constructions):
         builds = _count_bindings(monkeypatch, "build_b")
         a_builds = _count_bindings(monkeypatch, "build_a")
-        certificates = _count_bindings(monkeypatch, "certify_det_b")
-        determinants = _count_bindings(monkeypatch, "continuant")
+        order = []
+        certificates = _count_bindings(monkeypatch, "certify_det_b", order=order)
+        determinants = _count_bindings(monkeypatch, "continuant", order=order)
         # Both constructors, __init__ and from_nonzeros, fill the new matrix
         # once, so this counts every PolyMatrix made.
         matrices_made = _count_calls(monkeypatch, PolyMatrix, "_fill")
@@ -653,9 +666,9 @@ class TestComputedOnce:
             assert [r["matrix"] for r in records] \
                 == [[row[:n - 2] for row in certified[:n - 2]] for n in range(6, 10)]
             return
-        # The determinant is certified on the matrix it was taken of.
-        assert len(determinants) == len(b_sizes)
-        assert all(d[0] is c[0] for d, c in zip(determinants, certificates))
+        # The determinant is taken of the matrix just certified.
+        assert order == ["certify_det_b", "continuant"]
+        assert determinants[0][0] is certificates[0][0]
 
     def test_each_cyclotomic_split_once_per_process(self, monkeypatch, capsys):
         f7 = Field.prime(7)
@@ -669,21 +682,25 @@ class TestComputedOnce:
 
 
     @pytest.mark.parametrize("argv", [
-        ["frobenius", "--n-set", "6..12", "--field", "fp:5"],
-        ["factors", "--set", "1..40", "--field", "fp:101"],
-        ["cohomology", "--d-min", "2", "--d-max", "12", "--field", "fp:7"],
-    ], ids=["frobenius", "factors", "cohomology"])
+        ["frobenius", "--n-set", "6..12"],
+        ["factors", "--set", "1..30"],
+        ["cohomology", "--d-min", "2", "--d-max", "12"],
+        ["verify-lemma1", "--max-i", "12"],
+    ], ids=["frobenius", "factors", "cohomology", "verify-lemma1"])
     def test_frobenius_factors_by_the_certified_route(self, monkeypatch, capsys, argv):
-        # Every factored tau_i, a collapsed determinant included, takes its
-        # F_p factors from factor_tau's Rabin-proven splits: the generic
-        # engine, the slower oracle, never runs on a CLI path.
-        factor._split_cyclotomic.cache_clear()
-        generic = [_count_calls(monkeypatch, factor, name)
-                   for name in ("_squarefree_parts", "_distinct_degree", "_equal_degree")]
+        # No CLI path calls a slow oracle, through any binding: every
+        # determinant and solution is certified rather than eliminated for,
+        # and every factored tau_i, a collapsed determinant included, takes
+        # its factors from cyclotomic structure, over F_p from factor_tau's
+        # Rabin-proven splits.
+        oracles = {name: _count_bindings(monkeypatch, name, home)
+                   for home, names in _ORACLES for name in names}
         proofs = _count_calls(monkeypatch, factor, "_is_irreducible")
-        assert main(argv) == EXIT_OK
-        assert generic == [[], [], []]
-        assert proofs
+        for field in ("q", "fp:7"):
+            factor._split_cyclotomic.cache_clear()
+            assert main(argv + ["--field", field]) == EXIT_OK
+        assert {name: calls for name, calls in oracles.items() if calls} == {}
+        assert bool(proofs) == (argv[0] != "verify-lemma1")
 
     @pytest.mark.parametrize("argv", [
         ["verify-lemma1", "--max-i", "10"],
@@ -732,6 +749,19 @@ class TestComputedOnce:
         records = json.loads(capsys.readouterr().out)["growth"]["records"]
         assert renders().misses == len(
             {f["factor"] for r in records for f in r["factors"]}) == 110
+
+    def test_rendering_work_budgets(self, monkeypatch, capsys):
+        # Bounds about 10% above the counts when they were set, 485 distinct
+        # forms and 8,364 quoted strings: a cheaper torsion or row rendering
+        # shows as a fall in these counts.
+        Form.__str__.cache_clear()
+        assert main(["cohomology", "--d-min", "2", "--d-max", "30", "--field", "fp:7",
+                     "--seed", "1"]) == EXIT_OK
+        assert Form.__str__.cache_info().misses <= 535
+        quotes = _count_calls(monkeypatch, cli, "_quote")
+        assert main(["frobenius", "--n-set", "6..30", "--field", "fp:5",
+                     "--seed", "1"]) == EXIT_OK
+        assert len(quotes) <= 9200
 
     @pytest.mark.parametrize("field", ["q", "fp:7"])
     def test_at_most_one_gcd_per_report(self, monkeypatch, capsys, field):
@@ -845,35 +875,34 @@ class TestCertificateFailure:
         assert captured.err.startswith("error: certificate check failed:")
         assert "Traceback" not in captured.err
 
-    def test_wrong_determinant_reports_identity_false(self, monkeypatch, capsys):
-        # verify-lemma1 builds B_3 once; perturbing a diagonal entry of it
-        # changes every leading minor that contains the entry.
-        build_b = cli.build_b
-
-        def corrupting(pos, entry):
-            def corrupted(i, field):
-                b = build_b(i, field)
-                entries = [list(b.row(r)) for r in range(i)]
-                entries[pos][pos] = entries[pos][pos] + parse_poly(entry, field)
-                return PolyMatrix(entries)
-            return corrupted
-
-        # Not a form, or a form in B_1: every identity is false and the report
-        # says so.
-        for entry in ("1", "s"):
-            monkeypatch.setattr(cli, "build_b", corrupting(0, entry))
-            assert main(["verify-lemma1", "--max-i", "3"]) == EXIT_CHECK_FAILED
-            payload = json.loads(capsys.readouterr().out)
-            assert [r["identity"] for r in payload["results"]] == [False, False, False]
-            assert payload["all_pass"] is False
-        # A form in the last diagonal entry leaves det B_1 and det B_2 right,
-        # so the certificate of B_3 runs and rejects it.
-        monkeypatch.setattr(cli, "build_b", corrupting(2, "s"))
+    # verify-lemma1 certifies B_3 before it reads a minor off it: a B_3 with
+    # a diagonal entry that is not a form, or a form that breaks det B_1 or
+    # only det B_3, fails the certificate, and no report is written.
+    @pytest.mark.parametrize("pos, entry", [(0, "1"), (0, "s"), (-1, "s")],
+                             ids=["constant-at-first", "form-at-first", "form-at-last"])
+    def test_wrong_b_fails_the_certificate_before_any_minor(self, monkeypatch, capsys,
+                                                            pos, entry):
+        monkeypatch.setattr(cli, "build_b", _corrupting(cli.build_b, pos, entry))
         assert main(["verify-lemma1", "--max-i", "3"]) == EXIT_CHECK_FAILED
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: certificate check failed:")
+
+    def test_wrong_determinant_reports_identity_false(self, monkeypatch, capsys):
+        # A continuant that disagrees with the certified B still reaches the
+        # report, which says which identity failed.
+        continuant = cli.continuant
+
+        def wrong_last_minor(b):
+            minors = continuant(b)
+            return minors[:-1] + [minors[-1] + minors[-1]]  # twice D_3
+
+        monkeypatch.setattr(cli, "continuant", wrong_last_minor)
+        assert main(["verify-lemma1", "--max-i", "3"]) == EXIT_CHECK_FAILED
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["identity"] for r in payload["results"]] == [True, True, False]
+        assert payload["all_pass"] is False
 
     @pytest.mark.parametrize("argv, transpose", [
         (["verify-lemma1", "--max-i", "4"], _transpose_cli_b),
